@@ -15,10 +15,6 @@
 // bit-identical to the inline kernel.  If another thread is mid-job,
 // try_run bails and the caller runs inline (correct either way; no
 // caller ever blocks on a peer's gemm).
-//
-// QDNN_USE_BLAS is accepted as a build option but currently a stub: no
-// BLAS backend is wired in, and dispatch never selects one.  The hook
-// below marks where an OpenBLAS/Eigen call would slot in.
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>

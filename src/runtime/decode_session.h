@@ -39,7 +39,8 @@
 //     copy the staged K/V into the row's cache slices and rewind the row
 //     — O(K/V copy), zero heap allocations, serving-thread only.
 //     prime_row(row, src) ≡ prime_compute + commit_row (it is implemented
-//     that way), so sync and async admission are bit-identical by
+//     that way), and serve::BatchScheduler admits through the same pair
+//     on any thread, so every admission path is bit-identical by
 //     construction.
 //   * step()/generate(): every step embeds ONE new token per row
 //     (position = step, so causal masking is implicit in the self-attention
@@ -67,10 +68,10 @@
 // commit_row publishes each committed source's cross-K/V pages under a
 // hash of its tokens, and a later admission with the same source takes
 // refcounts on those SAME pages and skips the whole prefill
-// (try_commit_row_from_cache / prefix_lookup_into) — bit-identical to a
-// cold prime, because the pages hold the cold prime's bits.  Cached
-// pages whose only holder is the cache are reclaimed (LRU) whenever the
-// pool runs dry, so the cache can never starve admission.
+// (prefix_lookup_into) — bit-identical to a cold prime, because the
+// pages hold the cold prime's bits.  Cached pages whose only holder is
+// the cache are reclaimed (LRU) whenever the pool runs dry, so the cache
+// can never starve admission.
 //
 // The session binds the model's decoder step adapters; one DecodeSession
 // may bind a given Transformer at a time (the destructor unbinds).  With
@@ -221,31 +222,25 @@ class DecodeSession {
   // the staging's shared prefix pages (from_cache — O(pages) bookkeeping,
   // refcount ownership transfers from the slot to the row) or acquires
   // fresh cross pages, copies the staged K/V into them and publishes them
-  // to the prefix cache under the source-token hash.  Rewinds the row's
-  // step counter — no other row is touched, and no heap allocation is
-  // performed.  Serving-thread only.  Errors (rolling back cleanly) if
+  // to the prefix cache under the source-token hash.  A cold staging
+  // whose source is already cached (published after its prefill probed)
+  // maps the cached pages instead, so concurrent prefills of one source
+  // never duplicate its pages.  Rewinds the row's step counter — no
+  // other row is touched, and no heap allocation is performed.  Serving-thread only.  Errors (rolling back cleanly) if
   // the pool cannot cover the cross pages even after reclaiming cached
   // prefixes — gate admission on free_pages() to avoid it.
   void commit_row(index_t row, PrefillStaging& staging);
 
-  // Prefix-cache admission, the synchronous face: when the cache holds
-  // this exact source (full-token compare — hash collisions can never
-  // alias), maps the shared pages into row `row` (refcounted; skipping
-  // encoder + projection entirely) and rewinds the row, returning true.
-  // False = miss, caller runs prime_row/prime_compute.  Bit-identical to
-  // a cold prime: the pages hold the cold prime's bits.  Serving-thread
-  // only; zero-alloc.
-  bool try_commit_row_from_cache(index_t row, const Tensor& src_ids,
-                                 index_t src_length);
-
-  // Prefix-cache admission, the worker face: checks the cache for this
-  // source and, on a hit, acquires the shared pages INTO `staging`
-  // (page_ids + from_cache, one refcount per page held by the slot) so
-  // the worker skips prime_compute and the serving thread's commit_row
-  // maps the pages.  Safe from any number of pool workers concurrently
-  // with each other and with the serving thread's commit/publish/evict
-  // (the cache and pool serialize internally; race-checked under TSan in
-  // CI).  Zero-alloc once `staging` is warm.
+  // Prefix-cache admission: checks the cache for this source and, on a
+  // hit (full-token compare — hash collisions can never alias), acquires
+  // the shared pages INTO `staging` (page_ids + from_cache, one refcount
+  // per page held by the slot) so the caller skips prime_compute and
+  // commit_row maps the pages.  False = miss, run prime_compute.
+  // Bit-identical to a cold prime: the pages hold the cold prime's bits.
+  // Safe from any number of threads concurrently with each other and
+  // with the serving thread's commit/publish/evict (the cache and pool
+  // serialize internally; race-checked under TSan in CI).  Zero-alloc
+  // once `staging` is warm.
   bool prefix_lookup_into(const Tensor& src_ids, index_t src_length,
                           PrefillStaging& staging);
 
@@ -388,9 +383,6 @@ class DecodeSession {
   // True during the construction warm-up step: the kernels run against
   // all-sentinel tables (defined zero memory) and no pages are acquired.
   bool warming_ = false;
-  // Serving-thread scratch for try_commit_row_from_cache (reserved at
-  // bind so the lookup is zero-alloc).
-  std::vector<index_t> lookup_tokens_, lookup_pages_;
 
   Tensor embed_buf_;               // [max_batch · d_model], boundary -1
   std::vector<Tensor> buffers_;    // per-stage boundary buffers
@@ -424,8 +416,8 @@ class DecodeSession {
   // so no mutex guards it.  mutable: prime_compute is const and the
   // facade holds no mutable state of its own.
   mutable models::TransformerEncoder encoder_;
-  // Lazily-initialized staging for the synchronous prime/prime_row face,
-  // so all three admission paths share one code path.
+  // Staging for the prime/prime_row face, sized and warmed on first use,
+  // so every admission path shares one code path.
   PrefillStaging solo_staging_;
   index_t bound_n_ = 0;
   bool primed_ = false;

@@ -127,12 +127,18 @@ bool PrefixCache::lookup_acquire(std::uint64_t hash, const index_t* tokens,
                                  index_t ts, index_t len, KvPagePool& pool,
                                  std::vector<index_t>& out_pages) {
   if (!enabled()) return false;
+  const bool hit = pin(hash, tokens, ts, len, pool, out_pages);
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit;
+}
+
+bool PrefixCache::pin(std::uint64_t hash, const index_t* tokens, index_t ts,
+                      index_t len, KvPagePool& pool,
+                      std::vector<index_t>& out_pages) {
+  if (!enabled()) return false;
   std::lock_guard<std::mutex> lk(mu_);
   Entry* e = find_locked(hash, tokens, ts, len);
-  if (e == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (e == nullptr) return false;
   // The references are taken UNDER the cache lock, so a concurrent
   // evict_one cannot release the entry's pages between match and pin.
   for (index_t page : e->pages) {
@@ -140,7 +146,6 @@ bool PrefixCache::lookup_acquire(std::uint64_t hash, const index_t* tokens,
     out_pages.push_back(page);
   }
   e->stamp = ++clock_;
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

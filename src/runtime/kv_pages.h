@@ -140,6 +140,10 @@ class PrefixCache {
   bool lookup_acquire(std::uint64_t hash, const index_t* tokens, index_t ts,
                       index_t len, KvPagePool& pool,
                       std::vector<index_t>& out_pages);
+  // lookup_acquire without touching hits()/misses(): the commit-time
+  // duplicate check, which is not an admission lookup.
+  bool pin(std::uint64_t hash, const index_t* tokens, index_t ts,
+           index_t len, KvPagePool& pool, std::vector<index_t>& out_pages);
   void publish(std::uint64_t hash, const index_t* tokens, index_t ts,
                index_t len, const index_t* pages, index_t n_pages,
                KvPagePool& pool);

@@ -4,6 +4,41 @@
 
 namespace qdnn::serve {
 
+std::exception_ptr run_prefill(runtime::DecodeSession& session,
+                               PrefillJob& job,
+                               runtime::PrefillStaging& staging,
+                               obs::TraceRing* trace) {
+  // The sampling decision was made at submit: a sampled job stamps its
+  // whole prefill window and ring events, the rest skip every record
+  // site.  Recording is wait-free and allocation-free.
+  const bool tracing = job.sampled;
+  if (tracing) {
+    job.prefill_start_ns = obs::now_ns();
+    if (trace != nullptr)
+      trace->record_always(job.id, obs::TraceEvent::kPrefillStart);
+  }
+  std::exception_ptr error;
+  try {
+    // Prefix-cache probe first: a hit acquires the shared cross-K/V pages
+    // into the slot and skips the whole encoder + projection.  The cache
+    // and page pool serialize the lookup internally, so any number of
+    // callers probe concurrently with the serving thread's
+    // publish/evict.
+    if (!session.prefix_lookup_into(job.request.src_ids,
+                                    job.request.src_length, staging))
+      session.prime_compute(job.request.src_ids, job.request.src_length,
+                            staging);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (tracing) {
+    job.prefill_end_ns = obs::now_ns();
+    if (trace != nullptr)
+      trace->record_always(job.id, obs::TraceEvent::kPrefillEnd);
+  }
+  return error;
+}
+
 PrefillPool::PrefillPool(runtime::DecodeSession& session, index_t workers,
                          index_t slots, obs::TraceRing* trace)
     : session_(&session), trace_(trace) {
@@ -49,40 +84,8 @@ void PrefillPool::worker_loop() {
     }
     Finished fin;
     fin.slot = slot;
-    // The sampling decision was made at submit: a sampled job stamps its
-    // whole prefill window and ring events, the rest skip every record
-    // site.  Timestamps and ring writes are all-or-nothing per job.
-    // Recording is wait-free and allocation-free.
-    const bool tracing = job.sampled;
-    if (tracing) {
-      job.prefill_start_ns = obs::now_ns();
-      if (trace_ != nullptr)
-        trace_->record_always(job.id, obs::TraceEvent::kPrefillStart);
-    }
-    try {
-      // Prefix-cache probe first: a hit acquires the shared cross-K/V
-      // pages into this worker's slot (from_cache) and skips the whole
-      // encoder + projection.  The cache and page pool serialize the
-      // lookup internally, so any number of workers probe concurrently
-      // with each other and with the serving thread's publish/evict.
-      runtime::PrefillStaging& st =
-          staging_[static_cast<std::size_t>(slot)];
-      if (!session_->prefix_lookup_into(
-              job.request.src_ids, job.request.src_length, st)) {
-        // The expensive half, off the serving thread: encoder pass (pool
-        // workers serialize it inside prime_compute) + cross-K/V
-        // projections into this worker's claimed staging slot.
-        session_->prime_compute(job.request.src_ids,
-                                job.request.src_length, st);
-      }
-    } catch (...) {
-      fin.error = std::current_exception();
-    }
-    if (tracing) {
-      job.prefill_end_ns = obs::now_ns();
-      if (trace_ != nullptr)
-        trace_->record_always(job.id, obs::TraceEvent::kPrefillEnd);
-    }
+    fin.error = run_prefill(*session_, job,
+                            staging_[static_cast<std::size_t>(slot)], trace_);
     fin.job = std::move(job);
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -115,13 +118,6 @@ void PrefillPool::wait_ready() const {
   // pending_ == 0 guards a caller that races a take on another thread;
   // the single-consumer scheduler only waits while something is queued.
   done_cv_.wait(lk, [&] { return !finished_.empty() || pending_ == 0; });
-}
-
-const runtime::PrefillStaging& PrefillPool::staging(index_t slot) const {
-  QDNN_CHECK(slot >= 0 && slot < slots(),
-             "PrefillPool: slot " << slot << " outside [0, " << slots()
-                                  << ")");
-  return staging_[static_cast<std::size_t>(slot)];
 }
 
 runtime::PrefillStaging& PrefillPool::staging_mut(index_t slot) {

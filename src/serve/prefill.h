@@ -1,9 +1,11 @@
 // PrefillPool: the prefill half of the prefill/decode split.
 //
-// PR 4's scheduler admitted synchronously — BatchScheduler::admit_into
-// ran the whole encoder (prime_row) on the serving thread, so one long
-// prefill stalled every live decode row and tick time jittered with
-// source length.  The pool moves that work off the serving thread:
+// run_prefill (below) is admission's ONE prefill body: a prefix-cache
+// probe, else the masked native encoder pass plus every layer's
+// cross-K/V projection, into a runtime::PrefillStaging slot.
+// BatchScheduler runs it on the serving thread when prefill_workers is 0;
+// this pool runs it on worker threads otherwise, so one long prefill
+// never stalls the live decode rows:
 //
 //   * submit() enqueues a prefill job (the request plus its scheduler
 //     bookkeeping, including the warm token buffer reserved at submit).
@@ -12,16 +14,14 @@
 //     still overtake everything waiting in the scheduler's own queue.
 //   * Worker threads — the same persistent mutex/condvar pool idiom as
 //     runtime::InferenceSession's batch sharding — pop jobs, claim a
-//     preallocated runtime::PrefillStaging slot, and run the expensive
-//     half, DecodeSession::prime_compute: the masked native encoder pass
-//     plus every layer's cross-K/V projection, all computed from and
-//     written into the worker's exclusively-held staging slot.
-//     prime_compute touches no session or model mutable state (stateless
-//     kernels over frozen weights), so N workers scale the prefill
-//     throughput across N cores — no mutex, no serialization — while the
-//     serving thread's step()/commit_row runs undisturbed.  Each slot's
-//     workspace is warmed at pool construction (init_staging), so
-//     steady-state prefill is zero-alloc end to end.
+//     preallocated staging slot, and run run_prefill into it.
+//     DecodeSession::prime_compute touches no session or model mutable
+//     state (stateless kernels over frozen weights) and the prefix cache
+//     serializes its own lookups, so N workers scale the prefill
+//     throughput across N cores while the serving thread's
+//     step()/commit_row runs undisturbed.  Each slot's workspace is
+//     warmed at pool construction (init_staging), so steady-state prefill
+//     is zero-alloc end to end.
 //   * The serving thread drains finished prefills each tick (try_take,
 //     completion order), commits the staged K/V into a free batch row
 //     (DecodeSession::commit_row — O(K/V copy), zero heap allocations)
@@ -106,6 +106,20 @@ struct PrefillJob {
   long long resume_prefill_ns = 0;
 };
 
+// The prefill body of both admission modes: probes the session's prefix
+// cache first — a hit pins the shared cross-K/V pages into `staging`
+// (from_cache) and skips the encoder — else runs prime_compute into
+// `staging`.  A trace-sampled job stamps its prefill window and records
+// prefill_start/prefill_end into `trace` (may be null).  Never throws: a
+// failure comes back as the captured exception with the job intact, so
+// the caller resolves its id with a kError result.  Safe from any number
+// of threads at once, each with its own staging slot; zero-alloc once the
+// slot is warm.
+std::exception_ptr run_prefill(runtime::DecodeSession& session,
+                               PrefillJob& job,
+                               runtime::PrefillStaging& staging,
+                               obs::TraceRing* trace);
+
 class PrefillPool {
  public:
   // A finished prefill: the job plus the staging slot holding its
@@ -141,16 +155,6 @@ class PrefillPool {
   // staging has been committed (or the error handled).
   bool try_take(Finished& out);
 
-  // Non-blocking: takes the oldest ERRORED prefill (any position in the
-  // finished queue) or returns false.  Resolving an error needs no batch
-  // row, so callers drain these unconditionally before gating successful
-  // prefills on free rows — an errored job must never sit on a staging
-  // slot waiting for a row it will not use.
-  bool try_take_error(Finished& out) {
-    return try_take_if(
-        [](const Finished& f) { return static_cast<bool>(f.error); }, out);
-  }
-
   // Non-blocking: takes the oldest finished prefill matching `pred` (any
   // position in the finished queue) or returns false.  The scheduler
   // uses this to drain doomed prefills — errored, cancelled mid-compute,
@@ -178,11 +182,10 @@ class PrefillPool {
   // workers need.
   void wait_ready() const;
 
-  // Staged K/V of a slot returned by try_take (valid until release).
-  const runtime::PrefillStaging& staging(index_t slot) const;
-  // Mutable face of the same slot, for DecodeSession::commit_row /
-  // release_staged_prefix (which consume the slot's staged prefix-page
-  // ownership).  Serving-thread only, between try_take and release.
+  // Staged K/V of a slot returned by try_take, for
+  // DecodeSession::commit_row / release_staged_prefix (which consume the
+  // slot's staged prefix-page ownership).  Serving-thread only, between
+  // try_take and release.
   runtime::PrefillStaging& staging_mut(index_t slot);
 
   // Returns a slot to the free list so the next queued job can compute.

@@ -78,14 +78,16 @@ struct Request {
   // sampled (eos is never delivered — it is not part of the output).
   // Keep it fast and non-blocking; under serve::Server it runs on the
   // shard's worker thread with the shard lock held, so it must not call
-  // back into the Server.  Empty = no streaming.
+  // back into the Server.  A callback that throws fails only its own
+  // request: it retires kError ("stream callback threw") with the tokens
+  // decoded so far, and the batch keeps serving.  Empty = no streaming.
   std::function<void(const StreamEvent&)> on_token;
 };
 
 enum class FinishReason {
   kEos,        // the model emitted eos
   kLength,     // the step budget ran out
-  kError,      // prefill failed — tokens empty, error holds the cause
+  kError,      // prefill or stream callback failed; error holds the cause
   kCancelled,  // cancel(id) resolved it (queued, prefilling, or mid-decode)
   kDeadline,   // deadline_tick passed before the request finished
   kShed,       // the bounded admission queue was full at submit
@@ -115,7 +117,8 @@ struct RequestResult {
   FinishReason reason = FinishReason::kLength;
   // Failure description for kError/kShed (empty otherwise): a submitted
   // id is ALWAYS resolved by exactly one result — shed at submit, failed
-  // on a pool worker, cancelled, expired, or decoded to completion.
+  // in prefill or in its stream callback, cancelled, expired, or decoded
+  // to completion.
   std::string error;
   Priority priority = Priority::kNormal;
   // Batch ticks this request spent decoding (== steps consumed).

@@ -82,6 +82,8 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
                               : rows;
     prefill_ = std::make_unique<PrefillPool>(
         session_, config_.prefill_workers, slots, &trace_);
+  } else {
+    session_.init_staging(staging_);
   }
 }
 
@@ -234,7 +236,7 @@ index_t BatchScheduler::submit(Request request) {
   job.request = std::move(request);
   inflight_ids_.insert(id);
   queue_.push_back(std::move(job));
-  if (prefill_) pump_pool();
+  pump_pool();
   queue_depth_gauge_->set(static_cast<double>(queued()));
   return id;
 }
@@ -292,7 +294,7 @@ void BatchScheduler::resolve_unadmitted(PrefillJob&& job,
 
 bool BatchScheduler::cancel(index_t id) {
   if (inflight_ids_.count(id) == 0) return false;
-  if (pool_cancelled_.count(id) != 0) return false;  // double-cancel
+  if (staged_cancelled_.count(id) != 0) return false;  // double-cancel
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->id != id) continue;
     PrefillJob job = std::move(*it);
@@ -309,12 +311,11 @@ bool BatchScheduler::cancel(index_t id) {
     retire(row, FinishReason::kCancelled);
     return true;
   }
-  // In flight but neither queued nor live: its prefill is inside the
-  // pool (computing or finished).  The compute cannot be interrupted —
-  // flag the id and the next tick's drain resolves it without ever
+  // In flight but neither queued nor live: its prefill is staged (in the
+  // pool, or held at the page gate).  The compute cannot be interrupted —
+  // flag the id and the next tick's admission resolves it without ever
   // committing a row.
-  if (!prefill_) return false;  // unreachable: sync in-flight = queue∪rows
-  pool_cancelled_.insert(id);
+  staged_cancelled_.insert(id);
   return true;
 }
 
@@ -342,19 +343,23 @@ void BatchScheduler::expire_deadlines() {
   }
 }
 
+PrefillJob BatchScheduler::take_queued() {
+  auto it = pick_queued();
+  if (it->sampled)
+    trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
+                         effective_class(*it));
+  PrefillJob job = std::move(*it);
+  queue_.erase(it);
+  return job;
+}
+
 void BatchScheduler::pump_pool() {
   // Feed the pool in priority order, keeping at most `slots` jobs inside
   // it: the pool computes in feed order, so a later high-priority submit
   // can still overtake everything waiting here in the scheduler queue.
-  while (!queue_.empty() && prefill_->pending() < prefill_->slots()) {
-    auto it = pick_queued();
-    if (it->sampled)
-      trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                           effective_class(*it));
-    PrefillJob job = std::move(*it);
-    queue_.erase(it);
-    prefill_->submit(std::move(job));
-  }
+  if (!prefill_) return;
+  while (!queue_.empty() && prefill_->pending() < prefill_->slots())
+    prefill_->submit(take_queued());
 }
 
 void BatchScheduler::install(index_t row, PrefillJob&& job) {
@@ -410,75 +415,6 @@ void BatchScheduler::install(index_t row, PrefillJob&& job) {
   live_rows_gauge_->set(static_cast<double>(live_rows_));
 }
 
-void BatchScheduler::admit_sync() {
-  // Synchronous admission runs the prefill on the serving thread:
-  // prime_row = prime_compute + commit_row, the same code path the async
-  // pool splits across threads.  The queue is drained best-class-first.
-  //
-  // PR 10: each admission first probes the session's prefix cache — a hit
-  // maps the already-committed shared cross-K/V pages into the row
-  // (bit-identical to a cold prime, zero compute, zero fresh pages) and a
-  // miss gates on the page pool actually covering the commit: the cross
-  // pages plus the first self page, counting what evicting cached
-  // prefixes could reclaim.  An admission that does not fit leaves the
-  // pick queued (head-of-line by design — it IS the best effective
-  // class); a drained batch always fits, because the session validates
-  // pool_pages covers one worst-case row.
-  while (!queue_.empty() && !free_rows_.empty()) {
-    const index_t row = free_rows_.back();
-    auto it = pick_queued();
-    if (session_.try_commit_row_from_cache(row, it->request.src_ids,
-                                           it->request.src_length)) {
-      if (it->sampled) {
-        trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                             effective_class(*it));
-        trace_.record_always(it->id, obs::TraceEvent::kPrefixHit, row);
-      }
-      PrefillJob job = std::move(*it);
-      queue_.erase(it);
-      free_rows_.pop_back();
-      install(row, std::move(job));
-      continue;
-    }
-    const index_t ts =
-        it->request.src_ids.dim(it->request.src_ids.rank() - 1);
-    if (session_.free_pages() + session_.reclaimable_pages() <
-        session_.cross_pages_for(ts) + 1)
-      break;
-    if (it->sampled)
-      trace_.record_always(it->id, obs::TraceEvent::kQueueAdmit,
-                           effective_class(*it));
-    PrefillJob job = std::move(*it);
-    queue_.erase(it);
-    const bool tracing = job.sampled;
-    if (tracing) {
-      job.prefill_start_ns = obs::now_ns();
-      trace_.record_always(job.id, obs::TraceEvent::kPrefillStart);
-    }
-    std::exception_ptr error;
-    try {
-      session_.prime_row(row, job.request.src_ids, job.request.src_length);
-    } catch (...) {
-      // A prefill failure that slipped past submit (e.g. a source id
-      // outside the encoder vocabulary) resolves exactly like the async
-      // path: a kError result, never a dropped id.  prime_row throws
-      // before any session mutation, and the row was only peeked — not
-      // popped — so no batch capacity leaks either.
-      error = std::current_exception();
-    }
-    if (tracing) {
-      job.prefill_end_ns = obs::now_ns();
-      trace_.record_always(job.id, obs::TraceEvent::kPrefillEnd);
-    }
-    if (error) {
-      resolve_failed(std::move(job), error);
-      continue;
-    }
-    free_rows_.pop_back();
-    install(row, std::move(job));
-  }
-}
-
 void BatchScheduler::resolve_failed(PrefillJob&& job,
                                     std::exception_ptr error) {
   // A prefill failure must still resolve the submitted id: emit a kError
@@ -508,26 +444,40 @@ void BatchScheduler::resolve_failed(PrefillJob&& job,
   trace_.record(failed_id, obs::TraceEvent::kRetire);
 }
 
-void BatchScheduler::admit_async() {
-  pump_pool();
-  PrefillPool::Finished fin;
-  // Doomed prefills — errored, cancelled mid-compute, or past deadline —
+bool BatchScheduler::next_staged(PrefillPool::Finished& out) {
+  if (prefill_) return prefill_->try_take(out);
+  // No pool: pick the best effective class NOW and run its prefill on the
+  // serving thread into the scheduler's one staging slot — priority bites
+  // at admission and every tick stays deterministic.
+  if (queue_.empty()) return false;
+  out.job = take_queued();
+  out.slot = -1;
+  out.error = run_prefill(session_, out.job, staging_, &trace_);
+  return true;
+}
+
+void BatchScheduler::admit() {
+  const auto staging_of =
+      [this](const PrefillPool::Finished& f) -> runtime::PrefillStaging& {
+    return prefill_ ? prefill_->staging_mut(f.slot) : staging_;
+  };
+  // Doomed prefills — errored, cancelled while staged, or past deadline —
   // resolve unconditionally: they need no batch row, so they must not
   // queue behind the free-row gate below (a fully live batch would
   // otherwise hold the result AND its staging slot hostage for up to
   // max_steps ticks).
   const auto doomed = [this](const PrefillPool::Finished& f) {
     return static_cast<bool>(f.error) ||
-           pool_cancelled_.count(f.job.id) != 0 ||
+           staged_cancelled_.count(f.job.id) != 0 ||
            (f.job.request.deadline_tick > 0 &&
             ticks_ >= f.job.request.deadline_tick);
   };
-  const auto resolve_doomed = [this](PrefillPool::Finished&& f) {
+  const auto resolve_doomed = [&](PrefillPool::Finished&& f) {
     // A cache-hit staging owns refcounts on shared prefix pages; hand
     // them back before the slot is reused (no-op for cold prefills).
-    session_.release_staged_prefix(prefill_->staging_mut(f.slot));
-    prefill_->release(f.slot);  // a doomed job must never hold a slot
-    if (pool_cancelled_.erase(f.job.id) > 0)
+    session_.release_staged_prefix(staging_of(f));
+    if (prefill_) prefill_->release(f.slot);  // never hold a slot hostage
+    if (staged_cancelled_.erase(f.job.id) > 0)
       resolve_unadmitted(std::move(f.job), FinishReason::kCancelled);
     else if (f.error)
       resolve_failed(std::move(f.job), f.error);
@@ -535,36 +485,41 @@ void BatchScheduler::admit_async() {
       resolve_unadmitted(std::move(f.job), FinishReason::kDeadline);
     pump_pool();  // the freed staging slot can start the next prefill
   };
+  pump_pool();
   // The held prefill (page gate, below) can go doomed while waiting —
   // cancellations and deadlines must not leak it.
   if (has_held_ && doomed(held_fin_)) {
     has_held_ = false;
     resolve_doomed(std::move(held_fin_));
   }
-  while (prefill_->try_take_if(doomed, fin)) resolve_doomed(std::move(fin));
+  PrefillPool::Finished fin;
+  while (prefill_ && prefill_->try_take_if(doomed, fin))
+    resolve_doomed(std::move(fin));
 
-  // Drain successful prefills into free rows, the held one first (it
-  // arrived earliest and still owns its staging slot): each admission is
-  // one commit_row K/V copy plus slot bookkeeping — no heap allocation,
-  // no waiting (a prefill still computing is simply not ready this
-  // tick).  PR 10: each commit is gated on the page pool covering it —
-  // the cross pages for a cold prefill (none for a cache hit: those
-  // pages are already resident and shared) plus the first self page,
-  // counting reclaimable cached prefixes.  A prefill that does not fit
-  // is HELD — it counts in queued() and blocks idle(), and commits as
-  // soon as retirements or preemptions free pages.
+  // Drain staged prefills into free rows, the held one first (it arrived
+  // earliest and still owns its staging) — the same sequence in both
+  // modes: doomed check → page gate → commit_row → install.  The gate
+  // asks the page pool to cover the commit: the cross pages for a cold
+  // prefill (none for a cache hit: those pages are already resident and
+  // shared) plus the first self page, counting reclaimable cached
+  // prefixes.  A prefill that does not fit is HELD — it counts in
+  // queued() and blocks idle(), and commits as soon as retirements or
+  // preemptions free pages; a drained batch always fits, because the
+  // session validates that pool_pages covers one worst-case row.  A
+  // commit is one K/V copy plus slot bookkeeping — no heap allocation,
+  // and never a wait on a prefill still computing.
   while (!free_rows_.empty()) {
     if (has_held_) {
       fin = std::move(held_fin_);
       has_held_ = false;
-    } else if (!prefill_->try_take(fin)) {
+    } else if (!next_staged(fin)) {
       break;
     }
-    if (doomed(fin)) {  // finished after the sweep above — same path
+    if (doomed(fin)) {  // staged after the sweep above — same path
       resolve_doomed(std::move(fin));
       continue;
     }
-    const runtime::PrefillStaging& st = prefill_->staging(fin.slot);
+    runtime::PrefillStaging& st = staging_of(fin);
     const index_t needed =
         (st.from_cache ? 0 : session_.cross_pages_for(st.ts)) + 1;
     if (session_.free_pages() + session_.reclaimable_pages() < needed) {
@@ -576,18 +531,20 @@ void BatchScheduler::admit_async() {
     free_rows_.pop_back();
     if (st.from_cache && fin.job.sampled)
       trace_.record_always(fin.job.id, obs::TraceEvent::kPrefixHit, row);
-    session_.commit_row(row, prefill_->staging_mut(fin.slot));
-    prefill_->release(fin.slot);
+    session_.commit_row(row, st);
+    if (prefill_) prefill_->release(fin.slot);
     install(row, std::move(fin.job));
     pump_pool();
   }
 }
 
-void BatchScheduler::retire(index_t row, FinishReason reason) {
+void BatchScheduler::retire(index_t row, FinishReason reason,
+                            const char* error) {
   Slot& slot = slots_[static_cast<std::size_t>(row)];
   const auto cls = static_cast<std::size_t>(slot.priority);
   RequestResult result;
   result.id = slot.id;
+  if (error != nullptr) result.error = error;  // allocates — error path
   // Hand the slot's buffer off inside the result; the slot's next warm
   // buffer arrives with the next admitted request (see submit), so no
   // fresh vector is created here and the retire→admit cycle stays
@@ -635,6 +592,11 @@ void BatchScheduler::retire(index_t row, FinishReason reason) {
       break;
     case FinishReason::kDeadline:
       class_counters_[cls].expired->inc();
+      if (slot.sampled)
+        trace_.record_always(slot.id, obs::TraceEvent::kRetire, row);
+      break;
+    case FinishReason::kError:
+      class_counters_[cls].errored->inc();
       if (slot.sampled)
         trace_.record_always(slot.id, obs::TraceEvent::kRetire, row);
       break;
@@ -728,10 +690,7 @@ index_t BatchScheduler::step() {
   // then admission, so a row freed on the previous tick never idles: a
   // retirement's slot is serving the next queued request one tick later.
   expire_deadlines();
-  if (prefill_)
-    admit_async();
-  else
-    admit_sync();
+  admit();
 
   // Page-pressure preemption (PR 10): before stepping, every live row
   // must hold a self-KV page for its next position.  When the pool is
@@ -827,7 +786,17 @@ index_t BatchScheduler::step() {
       event.token = token;
       event.index = static_cast<index_t>(slot.tokens.size()) - 1;
       event.tick = ticks_;
-      slot.on_token(event);
+      try {
+        slot.on_token(event);
+      } catch (...) {
+        // A throwing callback fails only its own request: the row retires
+        // kError with the tokens decoded so far, and the batch keeps
+        // serving — the exception never reaches the shard worker.  (A
+        // callback that cancelled its own row first has resolved it.)
+        if (slot.live)
+          retire(row, FinishReason::kError, "stream callback threw");
+        continue;
+      }
     }
     if (static_cast<index_t>(slot.tokens.size()) >= slot.budget)
       retire(row, FinishReason::kLength);

@@ -36,33 +36,40 @@
 //     queued() at the bound load-sheds: the request resolves immediately
 //     with FinishReason::kShed instead of growing the queue unboundedly.
 //   * cancellation — cancel(id) resolves a request wherever it is:
-//     removed from the queue, flagged while its prefill is in flight on
-//     the pool (resolved at the next drain), or retired mid-flight with
-//     the tokens decoded so far, freeing the KV row for the next admit.
+//     removed from the queue, flagged while its prefill is staged (in
+//     the pool or held at the page gate; resolved at the next tick's
+//     admission), or retired mid-flight with the tokens decoded so far,
+//     freeing the KV row for the next admit.
 //   * deadlines — deadline_tick is the absolute tick bound; see step 1.
 //   * streaming — on_token fires on the serving thread as each token is
-//     sampled; RequestResult::first_token_tick records TTFT.
+//     sampled; RequestResult::first_token_tick records TTFT.  A callback
+//     that throws retires its own row kError; the batch keeps serving.
 //
 // Every submitted id resolves with EXACTLY one RequestResult — shed,
 // errored, cancelled, expired, or decoded to completion.
 //
-// Admission comes in two modes, selected by config.prefill_workers:
+// Admission is ONE path (admit()): every request's prefill — a prefix
+// cache probe, else the encoder pass + cross-K/V projection
+// (serve::run_prefill) — lands in a staging slot, and each tick drains
+// staged prefills into free rows through the same sequence: doomed
+// check (cancelled / expired / errored resolve without a row) → page
+// gate (hold the prefill until the pool covers its commit) →
+// DecodeSession::commit_row → install.  config.prefill_workers picks
+// only WHERE the next staged prefill comes from:
 //
-//   * synchronous (0, default) — the prefill (encoder pass + cross-K/V
-//     projection) runs on the serving thread at admission, exactly the
-//     PR 4 behavior: single-threaded, deterministic tick-for-tick.
-//   * asynchronous (>= 1) — a serve::PrefillPool runs the prefill on
-//     worker threads into preallocated staging buffers; the scheduler
-//     feeds the pool from its priority queue (keeping at most
-//     prefill_slots jobs inside it, so priorities still bite) and each
-//     tick drains finished prefills into free rows with
-//     DecodeSession::commit_row, so admission costs the tick exactly one
-//     O(K/V) copy and a long prefill never stalls the live decode rows.
-//     Both modes run the same compute (prime_row is implemented as
-//     prime_compute + commit_row), so per-request outputs are
-//     bit-identical across modes and to solo decodes — only the
-//     admission *timing* can differ (fuzzed in
-//     tests/serve/prefill_test.cpp).
+//   * 0 (default) — the serving thread picks the best effective class at
+//     admission time and runs its prefill into the scheduler's single
+//     staging slot: single-threaded, deterministic tick-for-tick.
+//   * >= 1 — a serve::PrefillPool runs prefills on worker threads into
+//     preallocated staging slots; the scheduler feeds the pool from its
+//     priority queue (keeping at most prefill_slots jobs inside it, so
+//     priorities still bite) and drains whatever has finished, so
+//     admission costs the tick one O(K/V) copy and a long prefill never
+//     stalls the live decode rows.
+//
+// Both modes run the same prefill and the same commit, so per-request
+// outputs are bit-identical across modes and to solo decodes — only the
+// admission *timing* can differ (fuzzed in tests/serve/prefill_test.cpp).
 //
 // Contracts:
 //   * Equivalence — a greedy request's tokens are bit-identical to a solo
@@ -80,22 +87,20 @@
 //     RequestResult at retirement), so steady-state ticks — including the
 //     retire→admit slot cycle, and including async admission itself (an
 //     O(K/V) commit copy) — perform no heap allocation (asserted in
-//     tests/runtime/session_test.cpp).  Synchronous admission allocates —
-//     it runs the encoder; submit and take_results allocate (queue
-//     growth / result hand-off), and so do the resolution paths for
-//     shed/cancelled/errored requests (error strings).
+//     tests/runtime/session_test.cpp).  Submit and take_results allocate
+//     (queue growth / result hand-off), and so do the resolution paths
+//     for shed/cancelled/errored requests (error strings).
 //
 // Paged KV + prefix reuse (PR 10): the session's KV memory is a page
 // pool, so admission gates on ACTUAL free pages (plus what evicting
 // cached prefixes could reclaim), not on the dense worst case — with
 // config.session.pool_pages below the dense bound the scheduler
-// oversubscribes max_batch with short/shared-prefix requests.  Admission
-// first probes the session's prefix cache (sync:
-// try_commit_row_from_cache on the serving thread; async: the pool
-// workers probe before computing), and a hit skips the entire prefill —
-// bit-identical to the cold prime, because the shared pages hold the
-// cold prime's bits.  When a decode step finds the pool dry (a live row
-// needs its next self-KV page and ensure_row_step_capacity fails), the
+// oversubscribes max_batch with short/shared-prefix requests.  Every
+// prefill first probes the session's prefix cache, and a hit skips the
+// encoder entirely — bit-identical to the cold prime, because the shared
+// pages hold the cold prime's bits.  When a decode step finds the pool
+// dry (a live row needs its next self-KV page and
+// ensure_row_step_capacity fails), the
 // scheduler PREEMPTS: the lowest-priority-class, youngest-admitted live
 // row is evicted — its pages released, its job (tokens decoded so far,
 // Rng state, original admission/first-token stamps) requeued at the
@@ -134,16 +139,16 @@ struct BatchSchedulerConfig {
   runtime::DecodeSessionConfig session;
   index_t bos = 1;
   index_t eos = 2;
-  // 0 = synchronous admission (prefill on the serving thread — the
-  // deterministic single-threaded mode); >= 1 = asynchronous admission
-  // through a PrefillPool with this many worker threads.
+  // Where admission's prefills run: 0 = on the serving thread (the
+  // deterministic single-threaded mode); >= 1 = on a PrefillPool with
+  // this many worker threads.
   index_t prefill_workers = 0;
-  // Staging slots for the async pool (finished prefills awaiting a free
-  // row); 0 = max_batch.  Ignored in synchronous mode.
+  // Staging slots for the prefill pool (finished prefills awaiting a free
+  // row); 0 = max_batch.  Ignored when prefill_workers is 0.
   index_t prefill_slots = 0;
   // Bounded admission: the most requests allowed to wait for a batch row
-  // (sync queue + async prefill pipeline, i.e. queued()).  A submit that
-  // finds the bound reached is load-shed — it resolves immediately with
+  // (queue + staged prefills, i.e. queued()).  A submit that finds the
+  // bound reached is load-shed — it resolves immediately with
   // FinishReason::kShed instead of growing the queue.  0 = unbounded.
   index_t max_queue = 0;
   // Priority aging: a waiting request's effective class drops one level
@@ -236,12 +241,12 @@ class BatchScheduler {
 
   // Resolves the in-flight request `id` with FinishReason::kCancelled:
   // removed from the admission queue (empty tokens), flagged while its
-  // prefill is in flight on the pool (resolved at the next tick's
-  // drain), or retired mid-flight right here with the tokens decoded so
-  // far — the freed KV row admits the next request on the following
-  // tick.  Returns false (and does nothing) when `id` is unknown,
-  // already resolved, or already cancelled — a submitted id always
-  // resolves with exactly ONE result, however many times it is
+  // prefill is staged in the pool or held at the page gate (resolved at
+  // the next tick's admission), or retired mid-flight right here with the
+  // tokens decoded so far — the freed KV row admits the next request on
+  // the following tick.  Returns false (and does nothing) when `id` is
+  // unknown, already resolved, or already cancelled — a submitted id
+  // always resolves with exactly ONE result, however many times it is
   // cancelled.
   bool cancel(index_t id);
 
@@ -282,8 +287,8 @@ class BatchScheduler {
   // reserved one, off the tick path).
   std::vector<RequestResult> take_results();
 
-  // Requests submitted and not yet admitted (sync queue + async pool +
-  // a finished prefill held back waiting for KV pages).
+  // Requests submitted and not yet admitted (queue + async pool + a
+  // staged prefill held back waiting for KV pages).
   index_t queued() const {
     return static_cast<index_t>(queue_.size()) +
            (prefill_ ? prefill_->pending() : 0) + (has_held_ ? 1 : 0);
@@ -308,7 +313,7 @@ class BatchScheduler {
   // The per-scheduler trace ring (empty unless obs::trace_enabled()).
   const obs::TraceRing& trace() const { return trace_; }
   const runtime::DecodeSession& session() const { return session_; }
-  // The async admission pool (null in synchronous mode).
+  // The prefill pool (null when prefill_workers is 0).
   const PrefillPool* prefill_pool() const { return prefill_.get(); }
 
  private:
@@ -367,14 +372,20 @@ class BatchScheduler {
   index_t effective_class(const PrefillJob& job) const;
   void register_metrics();
   std::deque<PrefillJob>::iterator pick_queued();
+  // Removes the pick_queued() job, tracing its queue_admit.
+  PrefillJob take_queued();
   void expire_deadlines();
   void pump_pool();
-  void admit_sync();
-  void admit_async();
+  // The one admission path (see file comment).
+  void admit();
+  // The next staged prefill: the pool's oldest finished one, or (no
+  // pool) the best queued job prefilled right now into staging_.
+  bool next_staged(PrefillPool::Finished& out);
   void resolve_unadmitted(PrefillJob&& job, FinishReason reason);
   void resolve_failed(PrefillJob&& job, std::exception_ptr error);
   void install(index_t row, PrefillJob&& job);
-  void retire(index_t row, FinishReason reason);
+  void retire(index_t row, FinishReason reason,
+              const char* error = nullptr);
   // Page-pressure preemption (PR 10): the victim is the live row with the
   // WORST static priority class, youngest admit_tick breaking ties.
   index_t pick_victim() const;
@@ -386,9 +397,10 @@ class BatchScheduler {
   index_t vocab_ = 0;
   runtime::DecodeSession session_;
 
-  // Admission queue, both modes: submit appends (FIFO), admission picks
-  // by effective priority class.  In async mode pump_pool() moves the
-  // best-class jobs into the PrefillPool as staging slots open.
+  // Admission queue: submit appends (FIFO), admission picks by
+  // effective priority class — at prefill time in sync mode, while
+  // pump_pool() feeds the PrefillPool as staging slots open in async
+  // mode.
   std::deque<PrefillJob> queue_;
   std::vector<Slot> slots_;
   std::vector<index_t> feed_;       // next input token per row
@@ -400,9 +412,9 @@ class BatchScheduler {
   // Ids of every unresolved request (queued, in the pool, or live) — the
   // explicit-id uniqueness check and the cancel() routing table.
   std::unordered_set<index_t> inflight_ids_;
-  // Cancelled while their prefill was in flight on the pool; resolved
-  // (and erased) when the pool hands the job back.
-  std::unordered_set<index_t> pool_cancelled_;
+  // Cancelled while their prefill was staged (in the pool or held);
+  // resolved (and erased) at the next admission that sees the job.
+  std::unordered_set<index_t> staged_cancelled_;
 
   std::array<SampleRing, kPriorityClasses> queue_wait_ring_;
   std::array<SampleRing, kPriorityClasses> ttft_ring_;
@@ -458,12 +470,14 @@ class BatchScheduler {
   // sampled; serving-thread only.
   index_t trace_seq_ = 0;
 
-  // Async admission, page gate: a finished prefill whose commit would
-  // need more pages than free + reclaimable is HELD here (still owning
-  // its staging slot) until pages free up — it counts in queued() and
-  // blocks idle(), so every id still resolves.
+  // Page gate: a staged prefill whose commit would need more pages than
+  // free + reclaimable is HELD here (still owning its staging) until
+  // pages free up — it counts in queued() and blocks idle(), so every id
+  // still resolves.
   PrefillPool::Finished held_fin_;
   bool has_held_ = false;
+  // The staging slot of pool-less admission, warmed at construction.
+  runtime::PrefillStaging staging_;
 
   // Declared after session_ so it joins its workers (which touch the
   // session's staging API) before the session unbinds.

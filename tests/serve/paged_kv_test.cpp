@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "decode_test_util.h"
@@ -229,8 +230,17 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
   }
 
   index_t total_preemptions = 0;
-  for (const std::uint64_t fuzz_seed : {11u, 22u, 33u}) {
+  // Both prefill sources of the one admission path: the serving thread
+  // (0 workers) and a pool worker (1), whose held prefills must survive
+  // preemption pressure the same way.
+  const std::pair<index_t, std::uint64_t> runs[] = {
+      {0, 11u}, {0, 22u}, {0, 33u}, {1, 11u}, {1, 22u}, {1, 33u}};
+  for (const auto& [prefill_workers, fuzz_seed] : runs) {
+    SCOPED_TRACE(::testing::Message() << "prefill_workers "
+                                      << prefill_workers << " seed "
+                                      << fuzz_seed);
     BatchSchedulerConfig config = scheduler_config(4, max_steps);
+    config.prefill_workers = prefill_workers;
     config.session.max_src = 8;
     config.session.page_tokens = 4;
     // Worst-case row: ceil(12/4) self + ceil(8/4) cross = 5 pages.
@@ -254,6 +264,7 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
       id_to_job[scheduler.submit(std::move(req))] = idx;
     }
     while (!scheduler.idle()) {
+      if (scheduler.wait_for_prefill()) continue;
       scheduler.step();
       for (RequestResult& r : scheduler.take_results()) {
         const bool inserted =
@@ -280,6 +291,118 @@ TEST(PagedKv, OversubscriptionFuzzPreemptsAndStaysBitIdentical) {
   EXPECT_GT(total_preemptions, 0)
       << "pool of 8 pages under 8 deep requests never preempted — the "
          "oversubscription path went untested";
+}
+
+TEST(PagedKv, ColdCommitsOfOneSourceShareTheCachedPages) {
+  // Two prefills of the same source that both missed the cache (two pool
+  // workers racing on one source) each hold a cold staging.  The second
+  // commit must map the pages the first one published instead of
+  // acquiring duplicates — in a full pool, duplicates evict some other
+  // cached prefix, which is later computed and inserted all over again.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  const index_t max_steps = 8;
+  runtime::DecodeSessionConfig config;
+  config.max_batch = 2;
+  config.max_steps = max_steps;
+  runtime::DecodeSession session(model, config);
+
+  const Tensor src = random_src_ids(1, 6, 20, 91);
+  const index_t len = 5;
+  runtime::PrefillStaging first, second;
+  session.init_staging(first);
+  session.init_staging(second);
+  session.prime_compute(src, len, first);
+  session.prime_compute(src, len, second);
+
+  const index_t cross_pages = session.cross_pages_for(src.dim(1));
+  const index_t total = session.total_pages();
+  session.commit_row(0, first);
+  EXPECT_EQ(session.free_pages(), total - cross_pages);
+  session.commit_row(1, second);
+  EXPECT_EQ(session.free_pages(), total - cross_pages)
+      << "the second cold commit acquired duplicate cross pages";
+  // Page 1 is the pool's first hand-out: row 0, row 1 and the cache's
+  // pin all hold each of the shared pages.
+  for (index_t page = 1; page <= cross_pages; ++page)
+    EXPECT_EQ(session.pool().refcount(page), 3) << "page " << page;
+
+  const auto& cache = session.prefix_cache();
+  EXPECT_EQ(cache.insertions(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
+  // The commit-time check is not an admission lookup.
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 0);
+
+  // Both rows decode bit-identically to the solo reference.
+  const auto reference =
+      model.greedy_decode_reference(src, {len}, kBos, kEos, max_steps)[0];
+  const auto outputs = session.generate(kBos, kEos);
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_EQ(outputs[0], reference);
+  EXPECT_EQ(outputs[1], reference);
+}
+
+TEST(PagedKv, CancellingAHeldSyncPrefillResolvesOnceAndDrainsThePool) {
+  // Synchronous admission computes the best queued prefill and, when its
+  // commit does not fit the page pool, HOLDS it — the same page gate as a
+  // pool worker's finished prefill.  Cancelling the held job resolves it
+  // kCancelled exactly once at the next tick, and no page leaks.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  const index_t max_steps = 12;
+  BatchSchedulerConfig config = scheduler_config(2, max_steps);
+  config.session.max_src = 8;
+  config.session.page_tokens = 4;
+  // One worst-case row: ceil(12/4) self + ceil(8/4) cross = 5 pages.
+  config.session.pool_pages = 5;
+  BatchScheduler scheduler(model, config);
+  ASSERT_EQ(scheduler.prefill_pool(), nullptr);
+
+  const Tensor live_src = random_src_ids(1, 8, 20, 93);
+  const auto reference = model.greedy_decode_reference(
+      live_src, {}, kBos, kEos, max_steps)[0];
+  ASSERT_GE(reference.size(), 2u) << "the live row must outlast tick 1";
+  Request live;
+  live.src_ids = live_src;
+  live.max_new_tokens = max_steps;
+  const index_t live_id = scheduler.submit(std::move(live));
+  scheduler.step();  // admits (2 cross pages) and steps (1 self page)
+  ASSERT_EQ(scheduler.live_rows(), 1);
+
+  // A second, distinct 8-token source needs 2 cross + 1 self pages, but
+  // only 2 are free and the live row still maps its cached prefix.
+  Request held;
+  held.src_ids = random_src_ids(1, 8, 20, 94);
+  held.max_new_tokens = max_steps;
+  const index_t held_id = scheduler.submit(std::move(held));
+  scheduler.step();
+  ASSERT_EQ(scheduler.live_rows(), 1);
+  ASSERT_EQ(scheduler.queued(), 1) << "the prefill must be held";
+  EXPECT_TRUE(scheduler.take_results().empty());
+
+  EXPECT_TRUE(scheduler.cancel(held_id));
+  EXPECT_FALSE(scheduler.cancel(held_id)) << "double cancel is a no-op";
+  EXPECT_TRUE(scheduler.take_results().empty())
+      << "a held cancel resolves at the next tick";
+
+  std::map<index_t, std::vector<RequestResult>> results;
+  while (!scheduler.idle()) {
+    scheduler.step();
+    for (RequestResult& r : scheduler.take_results())
+      results[r.id].push_back(std::move(r));
+    ASSERT_LT(scheduler.ticks(), 1000) << "scheduler stuck";
+  }
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results[held_id].size(), 1u) << "resolved exactly once";
+  EXPECT_EQ(results[held_id][0].reason, FinishReason::kCancelled);
+  EXPECT_TRUE(results[held_id][0].tokens.empty());
+  EXPECT_EQ(results[held_id][0].admit_tick, -1);
+  ASSERT_EQ(results[live_id].size(), 1u);
+  EXPECT_EQ(results[live_id][0].tokens, reference);
+  EXPECT_EQ(scheduler.session().free_pages() +
+                scheduler.session().reclaimable_pages(),
+            scheduler.session().total_pages());
 }
 
 }  // namespace

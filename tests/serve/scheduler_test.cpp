@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "decode_test_util.h"
@@ -673,6 +674,52 @@ TEST(BatchScheduler, StreamingCallbacksMatchTheResultExactly) {
   EXPECT_EQ(events.front().tick, r.first_token_tick)
       << "TTFT must be the first streamed tick";
   EXPECT_GT(r.first_token_tick, r.submit_tick);
+}
+
+TEST(BatchScheduler, ThrowingStreamCallbackRetiresOnlyItsRow) {
+  // A callback that throws fails only its own request — kError with the
+  // tokens decoded so far — and never escapes step(); every other row in
+  // the batch keeps decoding bit-identically to its solo reference.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  const index_t max_steps = 10;
+  const auto requests = make_requests(model, 4, max_steps, 61);
+  ASSERT_FALSE(requests[0].reference.empty())
+      << "the throwing request must sample at least one token";
+  BatchScheduler scheduler(model, scheduler_config(3, max_steps));
+
+  std::map<index_t, std::size_t> id_to_index;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Request req;
+    req.src_ids = requests[i].src;
+    req.src_length = requests[i].src_length;
+    req.max_new_tokens = requests[i].budget;
+    if (i == 0)
+      req.on_token = [](const StreamEvent&) {
+        throw std::runtime_error("client went away");
+      };
+    id_to_index[scheduler.submit(std::move(req))] = i;
+  }
+  scheduler.run();
+
+  auto results = scheduler.take_results();
+  ASSERT_EQ(results.size(), requests.size());
+  for (const RequestResult& r : results) {
+    const std::size_t i = id_to_index.at(r.id);
+    if (i == 0) {
+      EXPECT_EQ(r.reason, FinishReason::kError);
+      EXPECT_EQ(r.error, "stream callback threw");
+      // The first token was sampled and kept before the callback threw.
+      ASSERT_EQ(r.tokens.size(), 1u);
+      EXPECT_EQ(r.tokens[0], requests[0].reference[0]);
+    } else {
+      EXPECT_EQ(r.tokens, requests[i].reference) << "request " << i;
+    }
+  }
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(
+      stats.per_class[static_cast<std::size_t>(Priority::kNormal)].errored,
+      1);
 }
 
 TEST(BatchScheduler, EosIsNeverStreamedAndEmptyResultHasNoTtft) {

@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -236,6 +237,44 @@ TEST(Server, StreamsTokensFromTheShardWorker) {
   EXPECT_EQ(streamed, cases[0].reference);
   if (!results[0].tokens.empty())
     EXPECT_GT(results[0].first_token_tick, results[0].submit_tick);
+}
+
+TEST(Server, ThrowingStreamCallbackNeitherAbortsNorHangs) {
+  // A stream callback that throws runs on a shard worker thread: it must
+  // fail only its own request (kError), never terminate the process, and
+  // never leave wait_idle() waiting on an id that cannot resolve.
+  auto replicas = make_replicas(2);
+  const auto cases = make_cases(*replicas[0], 6, 8, 17);
+  Server server(raw(replicas), server_config(2, 8));
+
+  std::map<index_t, std::size_t> id_to_case;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    Request req;
+    req.src_ids = cases[i].src;
+    req.max_new_tokens = cases[i].budget;
+    if (i % 2 == 0)
+      req.on_token = [](const StreamEvent&) {
+        throw std::runtime_error("client went away");
+      };
+    id_to_case[server.submit(std::move(req))] = i;
+  }
+  server.wait_idle();
+  EXPECT_EQ(server.pending(), 0);
+
+  auto results = server.take_results();
+  ASSERT_EQ(results.size(), cases.size());
+  std::set<index_t> seen;
+  for (const RequestResult& r : results) {
+    EXPECT_TRUE(seen.insert(r.id).second)
+        << "id " << r.id << " resolved twice";
+    const std::size_t i = id_to_case.at(r.id);
+    if (i % 2 == 0 && !cases[i].reference.empty()) {
+      EXPECT_EQ(r.reason, FinishReason::kError) << "id " << r.id;
+      EXPECT_EQ(r.error, "stream callback threw");
+    } else {
+      EXPECT_EQ(r.tokens, cases[i].reference) << "id " << r.id;
+    }
+  }
 }
 
 TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
