@@ -77,10 +77,11 @@ struct Request {
   // Per-token streaming: invoked on the serving thread as each token is
   // sampled (eos is never delivered — it is not part of the output).
   // Keep it fast and non-blocking; under serve::Server it runs on the
-  // shard's worker thread with the shard lock held, so it must not call
-  // back into the Server.  A callback that throws fails only its own
-  // request: it retires kError ("stream callback threw") with the tokens
-  // decoded so far, and the batch keeps serving.  Empty = no streaming.
+  // shard's worker thread with no lock held and must not call cancel,
+  // stats or shard_stats, which wait on that worker.  A callback that
+  // throws fails only its own request: it retires kError ("stream
+  // callback threw") with the tokens decoded so far, and the batch keeps
+  // serving.  Empty = no streaming.
   std::function<void(const StreamEvent&)> on_token;
 };
 

@@ -145,7 +145,7 @@ void BatchScheduler::register_metrics() {
   }
 }
 
-index_t BatchScheduler::submit(Request request) {
+void BatchScheduler::validate(const Request& request) const {
   QDNN_CHECK(request.src_ids.rank() == 1 ||
                  (request.src_ids.rank() == 2 &&
                   request.src_ids.dim(0) == 1),
@@ -165,7 +165,7 @@ index_t BatchScheduler::submit(Request request) {
              "BatchScheduler: max_new_tokens "
                  << request.max_new_tokens << " outside [0, "
                  << session_.max_steps() << "] (max_steps)");
-  validate(request.sampling, vocab_);
+  serve::validate(request.sampling, vocab_);
   const auto cls = static_cast<index_t>(request.priority);
   QDNN_CHECK(cls >= 0 && cls < kPriorityClasses,
              "BatchScheduler: priority class " << cls << " outside [0, "
@@ -177,6 +177,10 @@ index_t BatchScheduler::submit(Request request) {
   QDNN_CHECK(request.id >= -1,
              "BatchScheduler: id must be >= 0 (or -1 = assign), got "
                  << request.id);
+}
+
+index_t BatchScheduler::submit(Request request) {
+  validate(request);
   if (request.id >= 0) {
     // Explicit-id uniqueness: a duplicate of an UNRESOLVED id would
     // silently produce two results with the same id — reject it at the
@@ -192,6 +196,7 @@ index_t BatchScheduler::submit(Request request) {
     request.id = next_id_++;
   }
   const index_t id = request.id;
+  const auto cls = static_cast<index_t>(request.priority);
   class_counters_[static_cast<std::size_t>(cls)].submitted->inc();
   // Trace sampling: decided HERE, once per submit — every Nth request
   // while tracing is enabled (obs::trace_sample()).  The decision rides

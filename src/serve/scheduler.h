@@ -227,16 +227,20 @@ class BatchScheduler {
   // vocabulary; the session constructor validates the ring geometry.
   BatchScheduler(models::Transformer& model, BatchSchedulerConfig config);
 
-  // Enqueues a request, validating it at the edge (source length vs
-  // max_src, budget vs max_steps, sampling parameters, explicit-id
-  // uniqueness among in-flight requests) so a malformed request fails
-  // here with a clear message, not steps later inside a kernel.  Also
-  // reserves the request's warm token buffer here, so the later
-  // admit/retire ticks never allocate.  With config.max_queue > 0 a full
-  // queue load-sheds: the returned id resolves immediately with a kShed
-  // result.  In async mode the job is fed to the prefill pool as soon as
-  // a staging slot is open.  Returns the request id.  Allocates (queue
-  // growth + buffer reserve).
+  // Throws on a malformed request (every submit() edge check except
+  // explicit-id uniqueness).  Reads only construction-time state, so it
+  // is safe from any thread concurrently with the serving thread.
+  void validate(const Request& request) const;
+
+  // Enqueues a request, validating it at the edge (validate() plus
+  // explicit-id uniqueness among in-flight requests) so a malformed
+  // request fails here with a clear message, not steps later inside a
+  // kernel.  Also reserves the request's warm token buffer here, so the
+  // later admit/retire ticks never allocate.  With config.max_queue > 0
+  // a full queue load-sheds: the returned id resolves immediately with a
+  // kShed result.  In async mode the job is fed to the prefill pool as
+  // soon as a staging slot is open.  Returns the request id.  Allocates
+  // (queue growth + buffer reserve).
   index_t submit(Request request);
 
   // Resolves the in-flight request `id` with FinishReason::kCancelled:

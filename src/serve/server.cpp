@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
+#include <iterator>
 #include <string>
 
 namespace qdnn::serve {
@@ -120,70 +122,75 @@ Server::Server(const std::vector<models::Transformer*>& models,
 }
 
 Server::~Server() {
-  stop_.store(true);
-  for (auto& shard : shards_) {
-    // Taking the lock before notifying closes the race with a worker
-    // that checked stop_ and is about to wait.
-    { std::lock_guard<std::mutex> lk(shard->mu); }
-    shard->cv.notify_all();
-  }
+  for (auto& shard : shards_) post(*shard, nullptr);  // stops the worker
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
 }
 
-void Server::drain_locked(Shard& shard) {
-  if (shard.scheduler->results_ready() == 0) return;
-  std::vector<RequestResult> results = shard.scheduler->take_results();
-  for (RequestResult& r : results) shard.mailbox.push_back(std::move(r));
-  const auto drained = static_cast<index_t>(results.size());
-  shard.outstanding.fetch_sub(drained);
+void Server::post(Shard& shard, Command command) {
   {
-    // Decrement under idle_mu_ so wait_idle's predicate check cannot
-    // miss the matching notify.
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    unresolved_.fetch_sub(drained);
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.inbox.push_back(std::move(command));
   }
-  idle_cv_.notify_all();
+  shard.cv.notify_one();
 }
 
-std::unique_lock<std::mutex> Server::lock_front(const Shard& shard) {
-  shard.waiters.fetch_add(1);
-  std::unique_lock<std::mutex> lk(shard.mu);
-  shard.waiters.fetch_sub(1);
-  return lk;
+void Server::call(Shard& shard, const Command& command) {
+  std::promise<void> done;
+  std::future<void> reply = done.get_future();
+  post(shard, [&](BatchScheduler& scheduler) {
+    try {
+      command(scheduler);
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  reply.get();
 }
 
 void Server::shard_loop(Shard& shard) {
-  // The lock is scoped to ONE tick: acquired at the top of each
-  // iteration, released at the bottom.  A busy shard therefore yields
-  // shard.mu between steps, so submit / cancel / take_results / stats
-  // interleave at tick granularity — an arrival joins the running batch
-  // on the next tick (continuous batching survives the front end) and a
-  // mid-decode cancel takes effect at the next tick boundary instead of
-  // blocking until the shard drains.
+  BatchScheduler& scheduler = *shard.scheduler;
+  std::vector<Command> commands;
+  bool backoff = false;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(shard.mu);
-      shard.cv.wait(lk, [&] {
-        return stop_.load() || !shard.scheduler->idle();
-      });
-      if (stop_.load()) return;
-      const index_t stepped = shard.scheduler->step();
-      drain_locked(shard);
-      if (stepped == 0 && !shard.scheduler->idle()) {
-        // Only prefill compute is outstanding: back off briefly — the
-        // wait releases the lock, so submits/cancels proceed and the
-        // tick clock does not free-run while the pool works.
-        shard.cv.wait_for(lk, std::chrono::microseconds(200));
+      const auto posted = [&] { return !shard.inbox.empty(); };
+      if (backoff) {
+        // Only prefill compute is outstanding: back off briefly so the
+        // tick clock does not free-run while the pool works — a command
+        // still wakes the worker at once.
+        shard.cv.wait_for(lk, std::chrono::microseconds(200), posted);
+      } else {
+        shard.cv.wait(lk, [&] { return posted() || !scheduler.idle(); });
       }
+      commands.swap(shard.inbox);
     }
-    // Releasing the mutex does not hand it over: this loop would win the
-    // re-lock against a woken waiter essentially every time (barging),
-    // which is the busy-period lockout again in practice.  So between
-    // ticks the worker yields until every registered front-end caller
-    // (lock_front) has gotten through.
-    while (shard.waiters.load() > 0 && !stop_.load())
-      std::this_thread::yield();
+    for (Command& command : commands) {
+      if (!command) return;  // posted by the destructor
+      command(scheduler);
+    }
+    commands.clear();
+    const index_t stepped = scheduler.idle() ? 0 : scheduler.step();
+    backoff = stepped == 0 && !scheduler.idle();
+
+    if (scheduler.results_ready() == 0) continue;
+    std::vector<RequestResult> results = scheduler.take_results();
+    const auto n = static_cast<index_t>(results.size());
+    {
+      std::lock_guard<std::mutex> lk(shard.mu);
+      shard.mailbox.insert(shard.mailbox.end(),
+                           std::make_move_iterator(results.begin()),
+                           std::make_move_iterator(results.end()));
+    }
+    shard.outstanding.fetch_sub(n);
+    if (unresolved_.fetch_sub(n) == n) {
+      // The one transition wait_idle() waits for.  Taking idle_mu_ orders
+      // this notify after a waiter's predicate check.
+      { std::lock_guard<std::mutex> lk(idle_mu_); }
+      idle_cv_.notify_all();
+    }
   }
 }
 
@@ -192,9 +199,11 @@ index_t Server::submit(Request request) {
              "Server: request.id must be left at -1 — the Server assigns "
              "globally unique ids (got "
                  << request.id << ")");
+  // Every shard's bounds are identical, and validate() reads only
+  // construction-time state, so any shard can check on this thread.
+  shards_[0]->scheduler->validate(request);
   // Join-shortest-queue: fewest unresolved requests wins, ties to the
-  // lowest shard.  Reads are atomic — no shard lock is touched until the
-  // destination is chosen, so a busy shard never blocks routing.
+  // lowest shard.  Reads are atomic, so a busy shard never blocks routing.
   index_t best = 0;
   index_t best_load = shards_[0]->outstanding.load();
   for (index_t i = 1; i < shards(); ++i) {
@@ -208,47 +217,29 @@ index_t Server::submit(Request request) {
   Shard& shard = *shards_[static_cast<std::size_t>(best)];
   const index_t id = next_seq_.fetch_add(1) * shards() + best;
   request.id = id;
-  {
-    const auto lk = lock_front(shard);
-    shard.scheduler->submit(std::move(request));  // throws = nothing taken
-    shard.outstanding.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> ilk(idle_mu_);
-      unresolved_.fetch_add(1);
-    }
-    // A load-shed resolves at submit; surface it to the mailbox now so
-    // pending()/wait_idle() never count a request the worker would only
-    // notice on its next wake-up.
-    drain_locked(shard);
-  }
-  shard.cv.notify_one();
+  shard.outstanding.fetch_add(1);
+  unresolved_.fetch_add(1);
+  post(shard, [r = std::move(request)](BatchScheduler& scheduler) mutable {
+    scheduler.submit(std::move(r));
+  });
   return id;
 }
 
 bool Server::cancel(index_t id) {
   if (id < 0) return false;
-  Shard& shard = *shards_[static_cast<std::size_t>(id % shards())];
-  bool hit;
-  {
-    const auto lk = lock_front(shard);
-    hit = shard.scheduler->cancel(id);
-    // A queued or mid-decode cancel resolves immediately — mailbox it
-    // under the same lock hold.  (A cancel caught mid-prefill resolves
-    // on the worker's next drain.)
-    drain_locked(shard);
-  }
-  if (hit) shard.cv.notify_one();
+  bool hit = false;
+  call(*shards_[static_cast<std::size_t>(id % shards())],
+       [&](BatchScheduler& scheduler) { hit = scheduler.cancel(id); });
   return hit;
 }
 
 std::vector<RequestResult> Server::take_results() {
   std::vector<RequestResult> out;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    const auto lk = lock_front(shard);
-    drain_locked(shard);
-    for (RequestResult& r : shard.mailbox) out.push_back(std::move(r));
-    shard.mailbox.clear();
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->mu);
+    out.insert(out.end(), std::make_move_iterator(shard->mailbox.begin()),
+               std::make_move_iterator(shard->mailbox.end()));
+    shard->mailbox.clear();
   }
   return out;
 }
@@ -262,9 +253,10 @@ SchedulerStats Server::shard_stats(index_t shard) const {
   QDNN_CHECK(shard >= 0 && shard < shards(),
              "Server: shard " << shard << " outside [0, " << shards()
                               << ")");
-  const Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  const auto lk = lock_front(s);
-  return s.scheduler->stats();
+  SchedulerStats out;
+  call(*shards_[static_cast<std::size_t>(shard)],
+       [&](BatchScheduler& scheduler) { out = scheduler.stats(); });
+  return out;
 }
 
 double Server::weight_checksum(index_t shard) const {
@@ -278,11 +270,7 @@ ServerStats Server::stats() const {
   ServerStats s;
   s.per_shard.reserve(shards_.size());
   double occupancy_weighted = 0.0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const auto lk = lock_front(shard);
-    s.per_shard.push_back(shard.scheduler->stats());
-  }
+  for (index_t i = 0; i < shards(); ++i) s.per_shard.push_back(shard_stats(i));
   double tick_ms_weighted = 0.0;
   for (const SchedulerStats& ps : s.per_shard) {
     s.totals.ticks += ps.ticks;

@@ -33,23 +33,24 @@
 //
 // Thread-safety contract: submit / cancel / take_results / stats /
 // wait_idle are safe from any thread, concurrently with each other and
-// with the shard workers.  A worker holds its shard's lock only for the
-// duration of ONE scheduler tick and releases it between ticks, so
-// front-end calls on a busy shard wait at most one batch step — an
-// arrival admits into the running batch and a cancel lands at the next
-// tick boundary, never after the whole busy period drains.  Retired
-// results land in a per-shard mailbox
-// drained under that shard's lock (never racing worker-thread
-// retirement); every submitted id resolves into exactly one result
-// (fuzzed multi-threaded in tests/serve/server_test.cpp).  Request
-// on_token callbacks run on shard worker threads with the shard lock
-// held — they must be fast and must not call back into the Server.
+// with the shard workers.  Only a shard's worker touches its scheduler:
+// each iteration it swaps out the shard's command inbox, applies the
+// commands in push order, steps, and moves retired results into the
+// shard's mailbox.  One short mutex guards inbox and mailbox; no lock is
+// held during a tick, so submit and take_results never wait out a busy
+// shard, while cancel, stats and shard_stats wait for the worker to
+// apply them (at most one tick).  A load-shed resolves on the worker's
+// next pass.  Every submitted id resolves into exactly one result
+// (fuzzed multi-threaded in tests/serve/server_test.cpp).  on_token
+// callbacks run on the worker with no lock held; they must be fast and
+// must not call cancel, stats or shard_stats, which wait on that worker.
 // Destroying the Server stops the workers promptly; drain results (and
 // wait_idle()) first if you need every outstanding request resolved.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -92,21 +93,21 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Routes the request to the shard with the fewest unresolved requests
-  // and submits it there.  Returns a globally unique id (the shard index
-  // is id mod shards()).  Thread-safe; throws on validation failure
-  // (nothing submitted).  Request::id must be left at -1 — the Server
-  // owns id assignment.  A load-shed (shard max_queue full) resolves the
-  // id with a kShed result like any other resolution.
+  // and pushes it onto that shard's inbox; never waits on a tick.
+  // Returns a globally unique id (the shard index is id mod shards()).
+  // Thread-safe; a malformed request throws here, on the caller's
+  // thread, with nothing submitted.  Request::id must be left at -1 —
+  // the Server owns id assignment.  A load-shed (shard max_queue full)
+  // resolves the id with a kShed result on the worker's next pass.
   index_t submit(Request request);
 
   // Cancels the in-flight request `id` on its shard (see
-  // BatchScheduler::cancel).  Returns false when the id is unknown or
-  // already resolved.  Thread-safe.
+  // BatchScheduler::cancel), waiting for its worker to apply it.  Returns
+  // false when the id is unknown or already resolved.  Thread-safe.
   bool cancel(index_t id);
 
   // Moves out every result resolved since the last call, across all
-  // shards (per-shard mailboxes drained under the shard lock — safe
-  // concurrently with worker-thread retirement and with other callers).
+  // shards.  Thread-safe; never waits on a tick.
   std::vector<RequestResult> take_results();
 
   // Blocks until every submitted request has resolved into a mailbox (or
@@ -137,28 +138,27 @@ class Server {
   double weight_checksum(index_t shard) const;
 
  private:
+  // Work for a shard's worker, applied to its scheduler in push order at
+  // the top of the worker's next iteration.  An empty Command stops it.
+  using Command = std::function<void(BatchScheduler&)>;
+
   struct Shard {
-    std::unique_ptr<BatchScheduler> scheduler;
-    mutable std::mutex mu;            // guards scheduler + mailbox
-    std::condition_variable cv;       // work signal for the worker
+    std::unique_ptr<BatchScheduler> scheduler;  // worker thread only
+    std::mutex mu;  // guards inbox + mailbox; never held during a tick
+    std::condition_variable cv;  // signals a non-empty inbox
+    std::vector<Command> inbox;
     std::vector<RequestResult> mailbox;
     std::atomic<index_t> outstanding{0};  // JSQ load, lock-free reads
-    // Front-end calls currently blocked on mu.  The worker re-locks
-    // every tick and would otherwise barge past them indefinitely; it
-    // yields between ticks while this is nonzero (see shard_loop).
-    mutable std::atomic<index_t> waiters{0};
     std::thread worker;
   };
 
-  // Acquires shard.mu for a front-end call, registering the caller in
-  // shard.waiters first so a busy worker hands the lock over at the
-  // next tick boundary instead of barging.
-  static std::unique_lock<std::mutex> lock_front(const Shard& shard);
+  // Pushes `command` onto the shard's inbox and wakes its worker.
+  static void post(Shard& shard, Command command);
+  // post() plus waiting until the worker has applied `command`; an
+  // exception it throws is rethrown here.
+  static void call(Shard& shard, const Command& command);
 
   void shard_loop(Shard& shard);
-  // Moves freshly retired results from the shard's scheduler into its
-  // mailbox and updates the idle accounting.  Caller holds shard.mu.
-  void drain_locked(Shard& shard);
 
   // Declared before shards_ so it outlives every scheduler recording
   // into it (members destroy in reverse declaration order).
@@ -167,9 +167,8 @@ class Server {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<index_t> next_seq_{0};    // id = seq * shards + shard
   std::atomic<index_t> unresolved_{0};  // submitted − mailboxed
-  std::atomic<bool> stop_{false};
-  mutable std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
+  std::mutex idle_mu_;
+  std::condition_variable idle_cv_;  // notified when unresolved_ hits 0
 };
 
 }  // namespace qdnn::serve

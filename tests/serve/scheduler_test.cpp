@@ -668,7 +668,9 @@ TEST(BatchScheduler, StreamingCallbacksMatchTheResultExactly) {
     EXPECT_EQ(events[i].id, id);
     EXPECT_EQ(events[i].token, r.tokens[i]) << "stream diverged at " << i;
     EXPECT_EQ(events[i].index, static_cast<index_t>(i));
-    if (i > 0) EXPECT_GT(events[i].tick, events[i - 1].tick);
+    if (i > 0) {
+      EXPECT_GT(events[i].tick, events[i - 1].tick);
+    }
   }
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().tick, r.first_token_tick)

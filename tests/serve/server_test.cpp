@@ -154,6 +154,12 @@ TEST(Server, OwnsIdAssignment) {
   EXPECT_THROW(server.submit(std::move(req)), std::runtime_error);
   // A rejected submit leaves nothing behind.
   EXPECT_EQ(server.pending(), 0);
+  // Malformed requests are rejected on the caller's thread too, before
+  // anything reaches a shard.
+  Request too_long;
+  too_long.src_ids = random_src_ids(1, 17, 20, 503);  // > max_src (16)
+  EXPECT_THROW(server.submit(std::move(too_long)), std::runtime_error);
+  EXPECT_EQ(server.pending(), 0);
   server.wait_idle();
   EXPECT_TRUE(server.take_results().empty());
 }
@@ -235,8 +241,9 @@ TEST(Server, StreamsTokensFromTheShardWorker) {
   EXPECT_EQ(results[0].id, id);
   EXPECT_EQ(streamed, results[0].tokens);
   EXPECT_EQ(streamed, cases[0].reference);
-  if (!results[0].tokens.empty())
+  if (!results[0].tokens.empty()) {
     EXPECT_GT(results[0].first_token_tick, results[0].submit_tick);
+  }
 }
 
 TEST(Server, ThrowingStreamCallbackNeitherAbortsNorHangs) {
@@ -360,6 +367,49 @@ TEST(Server, CancelLandsMidDecodeOnABusyShard) {
   EXPECT_EQ(results[0].reason, FinishReason::kCancelled);
   EXPECT_LT(results[0].tokens.size(), solo_len)
       << "the stream ran to completion — the cancel never interleaved";
+}
+
+TEST(Server, SubmitAndTakeResultsDoNotWaitOutABusyTick) {
+  // No lock is held during a tick: while the worker sits inside a slow
+  // stream callback, another thread's submit() and take_results() return
+  // at once instead of waiting for the tick to end.
+  auto replicas = make_replicas(1);
+  Server server(raw(replicas), server_config(2, 8));
+  std::atomic<bool> in_tick{false};
+  Request slow;
+  slow.src_ids = random_src_ids(1, 4, 20, 801);
+  slow.on_token = [&](const StreamEvent& e) {
+    if (e.index != 0) return;
+    in_tick.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  };
+  std::set<index_t> ids{server.submit(std::move(slow))};
+  while (!in_tick.load()) std::this_thread::yield();
+
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed_ms = [](Clock::time_point since) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - since)
+        .count();
+  };
+  Request other;
+  other.src_ids = random_src_ids(1, 4, 20, 802);
+  auto start = Clock::now();
+  ids.insert(server.submit(std::move(other)));
+  EXPECT_LT(elapsed_ms(start), 5.0) << "submit() waited out the tick";
+  start = Clock::now();
+  std::vector<RequestResult> results = server.take_results();
+  EXPECT_LT(elapsed_ms(start), 5.0) << "take_results() waited out the tick";
+
+  server.wait_idle();
+  for (RequestResult& r : server.take_results())
+    results.push_back(std::move(r));
+  ASSERT_EQ(results.size(), ids.size());
+  std::set<index_t> seen;
+  for (const RequestResult& r : results) {
+    EXPECT_TRUE(seen.insert(r.id).second)
+        << "id " << r.id << " resolved twice";
+  }
+  EXPECT_EQ(seen, ids);
 }
 
 TEST(Server, MultiThreadedFuzzEveryIdResolvesExactlyOnce) {
