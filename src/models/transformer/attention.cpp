@@ -1,7 +1,9 @@
 #include "models/transformer/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "linalg/gemm.h"
 #include "nn/softmax.h"
@@ -64,19 +66,27 @@ PagedKvAddr make_paged_addr(const PagedKvView& view, index_t tk,
                      view.slice_offset,  proj};
 }
 
-// Scores → masked softmax → context, shared by the training forward(),
-// the serving forward_into() and the KV-cached step kernels — one
-// definition so the paths cannot drift.  q [N·Tq, P]; k_src/v_src
-// resolve each sample's first Tk key/value rows (see the resolvers
-// above); writes softmax weights into `attn` [N, H, Tq, Tk] and
-// accumulates the per-head context into `context` [N·Tq, P], which must
-// be zeroed by the caller.  `kv_lengths` is a per-sample key-count array
-// (or null: all Tk keys valid); `kv_len_bias` is added to every entry —
-// the self-attention step passes its per-row ring positions with bias 1.
-// Masked tails score -1e30, which softmax maps to exact 0.0f weights, so
-// a row with valid_k < Tk is bit-identical to the same row run at
-// Tk = valid_k — the property continuous batching (and paged storage:
-// positions past valid_k are never dereferenced) rests on.
+// Scores → softmax → context, shared by the training forward(), the
+// serving forward_into() and the KV-cached step kernels — one definition
+// so the paths cannot drift.  q [N·Tq, P]; k_src/v_src resolve each
+// sample's first Tk key/value rows (see the resolvers above); writes
+// softmax weights into `attn` [N, H, Tq, Tk] and accumulates the per-head
+// context into `context` [N·Tq, P], which must be zeroed by the caller.
+// `kv_lengths` is a per-sample key-count array (or null: all Tk keys
+// valid), each entry + `kv_len_bias` in [0, Tk] (callers validate) — the
+// self-attention step passes its per-row ring positions with bias 1.
+//
+// Row i of sample s attends keys [0, limit) with limit = min(i+1, valid_k)
+// when causal, valid_k otherwise.  Scores, softmax and the context sum
+// run over that span only, and attn[limit, Tk) is written as exact 0.0f
+// (the training backward reads the full row), so a row with limit < Tk
+// is bit-identical to the same row run at Tk = limit — the property
+// continuous batching (and paged storage: positions past the limit are
+// never dereferenced) rests on.  A row with limit 0 (a parked decode
+// row) gets all-zero weights and zero context.  The per-key dot and
+// axpy are fixed-order loops over head_dim written inline here, not
+// linalg::dot/axpy, so attention numerics do not depend on the gemm
+// backend.
 template <class KvAddr>
 void attention_forward_impl(const float* q, const KvAddr& k_src,
                             const KvAddr& v_src, index_t n, index_t n_heads,
@@ -89,37 +99,43 @@ void attention_forward_impl(const float* q, const KvAddr& k_src,
     const index_t valid_k =
         kv_lengths != nullptr ? kv_lengths[s] + kv_len_bias : tk;
     for (index_t h = 0; h < n_heads; ++h) {
-      float* scores = attn + ((s * n_heads + h) * tq) * tk;
-      // scores[i, j] = (q_i · k_j) * scale over this head's slice.
+      const index_t off = h * head_dim;
       for (index_t i = 0; i < tq; ++i) {
-        const float* q_row =
-            q + (s * tq + i) * proj_dim + h * head_dim;
-        float* score_row = scores + i * tk;
+        const float* q_row = q + (s * tq + i) * proj_dim + off;
+        float* ctx_row = context + (s * tq + i) * proj_dim + off;
+        float* score_row = attn + ((s * n_heads + h) * tq + i) * tk;
         const index_t limit = causal ? std::min(i + 1, valid_k) : valid_k;
-        for (index_t j = 0; j < tk; ++j) {
-          if (j < limit) {
-            const float* k_row = k_src.row(s, j) + h * head_dim;
-            score_row[j] = scale * linalg::dot(q_row, k_row, head_dim);
-          } else {
-            score_row[j] = -1e30f;  // masked: pad or future position
-          }
+        std::fill(score_row + limit, score_row + tk, 0.0f);
+        if (limit == 0) continue;
+        // score_j = (q_i · k_j) * scale over this head's slice.
+        for (index_t j = 0; j < limit; ++j) {
+          const float* k_row = k_src.row(s, j) + off;
+          float acc = 0.0f;
+          for (index_t d = 0; d < head_dim; ++d) acc += q_row[d] * k_row[d];
+          score_row[j] = scale * acc;
         }
-      }
-      nn::softmax_rows(scores, tq, tk);
-      // context = attn · V
-      for (index_t i = 0; i < tq; ++i) {
-        float* ctx_row =
-            context + (s * tq + i) * proj_dim + h * head_dim;
-        const float* score_row = scores + i * tk;
-        for (index_t j = 0; j < tk; ++j) {
+        nn::softmax_rows(score_row, 1, limit);
+        // context_i = Σ_j a_j · v_j
+        for (index_t j = 0; j < limit; ++j) {
           const float a = score_row[j];
           if (a == 0.0f) continue;
-          const float* v_row = v_src.row(s, j) + h * head_dim;
-          linalg::axpy(head_dim, a, v_row, ctx_row);
+          const float* v_row = v_src.row(s, j) + off;
+          for (index_t d = 0; d < head_dim; ++d) ctx_row[d] += a * v_row[d];
         }
       }
     }
   }
+}
+
+// Rejects a per-sample key count outside [lo, tk]: the kernel loops to
+// exactly that count, so an oversized one would read past the keys.
+void check_kv_lengths(const std::string& who, const index_t* kv_lengths,
+                      index_t n, index_t lo, index_t tk) {
+  if (kv_lengths == nullptr) return;
+  for (index_t s = 0; s < n; ++s)
+    QDNN_CHECK(kv_lengths[s] >= lo && kv_lengths[s] <= tk,
+               who << ": kv_lengths[" << s << "] = " << kv_lengths[s]
+                   << " outside [" << lo << ", " << tk << "]");
 }
 
 // Dense entry point (training forward, serving encoder): k/v hold
@@ -169,6 +185,8 @@ Tensor MultiHeadAttention::forward(const Tensor& q_input,
   QDNN_CHECK(kv_lengths.empty() ||
                  static_cast<index_t>(kv_lengths.size()) == n,
              name_ << ": kv_lengths size");
+  check_kv_lengths(name_, kv_lengths.empty() ? nullptr : kv_lengths.data(),
+                   n, /*lo=*/0, tk);
   n_ = n;
   tq_ = tq;
   tk_ = tk;
@@ -297,11 +315,7 @@ void MultiHeadAttention::self_forward_into(const ConstTensorView& input,
              name_ << ": bad output view " << output.shape());
   const index_t n = input.dim(0), t = input.dim(1);
   const index_t nt = n * t;
-  if (kv_lengths != nullptr)
-    for (index_t s = 0; s < n; ++s)
-      QDNN_CHECK(kv_lengths[s] >= 1 && kv_lengths[s] <= t,
-                 name_ << ": kv_lengths[" << s << "] = " << kv_lengths[s]
-                       << " outside [1, " << t << "]");
+  check_kv_lengths(name_, kv_lengths, n, /*lo=*/1, t);
 
   // Projections, scores and context all live in the workspace; the
   // training caches (q_, k_, v_, attn_) are never touched, so concurrent
@@ -373,9 +387,9 @@ void MultiHeadAttention::self_attend_step(const ConstTensorView& x,
 
   // Row s attends over its cached prefix [0, row_steps[s]] — exactly the
   // last row of a causal full-prefix pass over that row alone.  Rows
-  // behind the batch-deepest position mask the tail (exact-zero softmax
-  // weights, positions past it never dereferenced), so mixed ring
-  // positions share one kernel call.
+  // behind the batch-deepest position stop at their own length (zero
+  // weights past it, never dereferenced), so mixed ring positions share
+  // one kernel call.
   float* attn = ws.alloc(n * n_heads_ * tk);
   float* context = ws.alloc(n * proj_dim_);
   for (index_t i = 0; i < n * proj_dim_; ++i) context[i] = 0.0f;
@@ -425,6 +439,8 @@ void MultiHeadAttention::cross_attend_step(
                  static_cast<index_t>(kv_lengths.size()) >= n,
              name_ << ": " << kv_lengths.size()
                    << " kv_lengths for batch " << n);
+  check_kv_lengths(name_, kv_lengths.empty() ? nullptr : kv_lengths.data(),
+                   n, /*lo=*/0, tk);
   QDNN_CHECK(out.rank() == 2 && out.dim(0) == n && out.dim(1) == d_model_,
              name_ << ": bad step output view " << out.shape());
   const PagedKvAddr k_addr = make_paged_addr(k_cache, tk, proj_dim_,

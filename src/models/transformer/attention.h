@@ -27,11 +27,11 @@
 // Both step kernels take PER-ROW cache lengths — each sample carries its
 // own ring position (self) / source length (cross), so rows admitted at
 // different times coexist in one gemm-backed batch step (continuous
-// batching).  Rows behind the batch maximum mask the tail with -1e30
-// scores, which softmax turns into exact zeros — so every row is
-// bit-identical to a solo pass of just that row.  Both step kernels run
-// through the same score/softmax/context code as the training forward
-// and are bit-identical to the matching row of a full-prefix pass.
+// batching).  Each row scores, softmaxes and sums only its own keys and
+// leaves exact-zero weights past them — so every row is bit-identical to
+// a solo pass of just that row.  Both step kernels run through the same
+// score/softmax/context code as the training forward and are
+// bit-identical to the matching row of a full-prefix pass.
 #pragma once
 
 #include <memory>
@@ -49,10 +49,10 @@ namespace qdnn::models {
 // runtime::KvPagePool and `slice_offset` selects this tensor's K-or-V
 // slice of one layer inside the page.  page_tokens must be a power of
 // two (the kernels resolve j with shift/mask, never a divide).  Unmapped
-// table entries point at the pool's sentinel page; the masked-score /
-// zero-weight contract guarantees live rows never read past what they
-// mapped, so the indirection changes ADDRESSES only — the reduction
-// order (and therefore every bit) is identical to the dense layout.
+// table entries point at the pool's sentinel page; the per-row key
+// bound guarantees live rows never read past what they mapped, so the
+// indirection changes ADDRESSES only — the reduction order (and
+// therefore every bit) is identical to the dense layout.
 struct PagedKvView {
   float* pool = nullptr;           // pool storage base (page 0 = sentinel)
   const index_t* table = nullptr;  // [N, pages_per_row] page ids
@@ -83,6 +83,10 @@ class MultiHeadAttention : public nn::Module {
   // Module backward override, which differs only in return type.)
   std::pair<Tensor, Tensor> backward_qkv(const Tensor& grad_output);
 
+  // Softmax weights [N, H, Tq, Tk] cached by the last training forward();
+  // entries past each row's key limit are exact 0.0f.
+  const Tensor& attention_weights() const { return attn_; }
+
   // --- Module API (self-attention on [N, T, D]) --------------------------
 
   Tensor forward(const Tensor& x) override;
@@ -94,11 +98,11 @@ class MultiHeadAttention : public nn::Module {
 
   // Key-padding-masked native self-attention on [N, T, D].
   // kv_lengths[s] = number of valid (non-pad) key positions for sample s,
-  // each in [1, T] (null: all T valid).  Masked tails score -1e30 →
-  // exact-zero softmax weights, so each row is bit-identical to the
-  // training forward() on the same ragged batch.  Runs entirely from `ws`
-  // (never touches the training caches), so concurrent calls against one
-  // module are safe.  forward_into delegates here with kv_lengths = null.
+  // each in [1, T] (null: all T valid).  Pad keys get exact-zero
+  // weights, so each row is bit-identical to the training forward() on
+  // the same ragged batch.  Runs entirely from `ws` (never touches the
+  // training caches), so concurrent calls against one module are safe.
+  // forward_into delegates here with kv_lengths = null.
   void self_forward_into(const ConstTensorView& input,
                          const TensorView& output,
                          const index_t* kv_lengths, Workspace& ws);
@@ -133,9 +137,10 @@ class MultiHeadAttention : public nn::Module {
   // Cross-attention for one new token per sample against K/V staged by
   // project_kv and committed into pool pages.  tk is the batch-wide
   // source capacity (max_src); kv_lengths masks padded source positions
-  // per sample (empty = all tk valid; may hold more than N entries when
-  // the session keeps full-width per-row state), exactly as the training
-  // forward.
+  // per sample, each in [0, tk] (empty = all tk valid; may hold more than
+  // N entries when the session keeps full-width per-row state), exactly
+  // as the training forward.  A row of length 0 (parked) yields zero
+  // context.
   void cross_attend_step(const ConstTensorView& x, const TensorView& out,
                          const PagedKvView& k_cache,
                          const PagedKvView& v_cache, index_t tk,

@@ -1,6 +1,8 @@
 #include "quadratic/quad_dense.h"
 
 #include <cmath>
+#include <initializer_list>
+#include <vector>
 
 #include "linalg/gemm.h"
 #include "nn/linear.h"
@@ -10,20 +12,35 @@ namespace qdnn::quadratic {
 
 namespace {
 
+// Packs the row blocks `blocks` (each [rows, in], row-major) stacked into
+// one [Σ rows, in] operand, transposed: one gemm_prepacked against it
+// yields every block's responses side by side in each output row.  Gemm
+// output columns are independent, so each block's columns are
+// bit-identical to a gemm against that block alone.
+void pack_stacked(linalg::PackedWeights& pack, index_t in,
+                  std::initializer_list<const Tensor*> blocks) {
+  std::vector<float> stacked;
+  for (const Tensor* b : blocks)
+    stacked.insert(stacked.end(), b->data(), b->data() + b->numel());
+  pack.pack(/*trans=*/true, in, static_cast<index_t>(stacked.size()) / in,
+            stacked.data(), in);
+}
+
 // Output assembly shared by ProposedQuadraticDense::forward and
 // ::forward_into — one definition so the training and serving paths can
 // never drift.  Writes the per-unit interleave [y_u, f_u1..f_uk] (or just
-// y_u in sum-only mode) from the linear responses `lin` [n, units] and
-// intermediate features `f` [n, units*rank].
-void assemble_proposed_dense(const float* lin, const float* f,
+// y_u in sum-only mode) from the linear responses `lin` (row s at
+// lin + s·lin_ld, `units` wide) and intermediate features `f` (row s at
+// f + s·f_ld, units·rank wide).
+void assemble_proposed_dense(const float* lin, index_t lin_ld,
+                             const float* f, index_t f_ld,
                              const float* lambda, const float* bias,
                              index_t n, index_t units, index_t rank,
                              bool emit_features, float* out) {
-  const index_t uk = units * rank;
   const index_t per = emit_features ? rank + 1 : 1;
   const index_t out_w = units * per;
   for (index_t s = 0; s < n; ++s) {
-    const float* f_row = f + s * uk;
+    const float* f_row = f + s * f_ld;
     float* o_row = out + s * out_w;
     for (index_t u = 0; u < units; ++u) {
       const float* f_u = f_row + u * rank;
@@ -31,11 +48,28 @@ void assemble_proposed_dense(const float* lin, const float* f,
       float y2 = 0.0f;
       for (index_t i = 0; i < rank; ++i) y2 += lam[i] * f_u[i] * f_u[i];
       float* o_u = o_row + u * per;
-      o_u[0] = lin[s * units + u] + bias[u] + y2;
+      o_u[0] = lin[s * lin_ld + u] + bias[u] + y2;
       if (emit_features)
         for (index_t i = 0; i < rank; ++i) o_u[1 + i] = f_u[i];
     }
   }
+}
+
+// Output assembly shared by LowRankQuadraticDense::forward and
+// ::forward_into: out[s, u] = lin_u + (a_u · c_u + b_u), where row s of
+// the factor responses a, c sits at a/c + s·ac_ld and of the linear
+// responses at lin + s·lin_ld (`lin` may alias `out`).
+void assemble_lowrank_dense(const float* a, const float* c, index_t ac_ld,
+                            const float* lin, index_t lin_ld,
+                            const float* bias, index_t n, index_t units,
+                            index_t rank, float* out) {
+  for (index_t s = 0; s < n; ++s)
+    for (index_t u = 0; u < units; ++u) {
+      const float* a_u = a + s * ac_ld + u * rank;
+      const float* c_u = c + s * ac_ld + u * rank;
+      out[s * units + u] =
+          lin[s * lin_ld + u] + (linalg::dot(a_u, c_u, rank) + bias[u]);
+    }
 }
 
 }  // namespace
@@ -90,7 +124,7 @@ Tensor ProposedQuadraticDense::forward(const Tensor& input) {
                q_.value.data(), in_, 0.0f, cached_f_.data(), uk);
 
   Tensor out{Shape{n, out_features()}};
-  assemble_proposed_dense(lin.data(), cached_f_.data(),
+  assemble_proposed_dense(lin.data(), units_, cached_f_.data(), uk,
                           lambda_.value.data(), b_.value.data(), n, units_,
                           rank_, emit_features_, out.data());
   return out;
@@ -113,42 +147,39 @@ void ProposedQuadraticDense::forward_into(const ConstTensorView& input,
                  output.dim(1) == out_w,
              name_ << ": bad output view " << output.shape());
 
-  // Same two GEMMs as forward(), with scratch (intermediates, plus weight
-  // packs unless frozen) drawn from the workspace instead of fresh
-  // tensors.
-  float* lin = ws.alloc(n * units_);
-  float* f = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, lin, units_);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q_, 0.0f, f, uk);
+  // Each scratch row holds [wᵀx | (Qᵏ)ᵀx]: one gemm against the frozen
+  // [W; Q] pack, or forward()'s two gemms (per-call packs drawn from the
+  // workspace) when unfrozen.
+  const index_t cols = units_ + uk;
+  float* lf = ws.alloc(n * cols);
+  if (packed_wq_.packed()) {
+    linalg::gemm_prepacked(false, n, cols, in_, 1.0f, input.data(), in_,
+                           packed_wq_, 0.0f, lf, cols);
   } else {
     linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, lin, units_,
+                 w_.value.data(), in_, 0.0f, lf, cols,
                  ws.alloc(linalg::gemm_scratch_floats(false, true, n,
                                                       units_, in_)));
     linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q_.value.data(), in_, 0.0f, f, uk,
+                 q_.value.data(), in_, 0.0f, lf + units_, cols,
                  ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
                                                       in_)));
   }
 
-  assemble_proposed_dense(lin, f, lambda_.value.data(), b_.value.data(), n,
-                          units_, rank_, emit_features_, output.data());
+  assemble_proposed_dense(lf, cols, lf + units_, cols, lambda_.value.data(),
+                          b_.value.data(), n, units_, rank_, emit_features_,
+                          output.data());
 }
 
 void ProposedQuadraticDense::freeze() {
-  packed_w_.pack(/*trans=*/true, in_, units_, w_.value.data(), in_);
-  packed_q_.pack(/*trans=*/true, in_, units_ * rank_, q_.value.data(), in_);
+  pack_stacked(packed_wq_, in_, {&w_.value, &q_.value});
   cached_input_ = Tensor{};
   cached_f_ = Tensor{};
   Module::freeze();
 }
 
 void ProposedQuadraticDense::unfreeze() {
-  packed_w_.clear();
-  packed_q_.clear();
+  packed_wq_.clear();
   Module::unfreeze();
 }
 
@@ -370,12 +401,9 @@ Tensor LowRankQuadraticDense::forward(const Tensor& input) {
   Tensor out{Shape{n, units_}};
   linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
                w_.value.data(), in_, 0.0f, out.data(), units_);
-  for (index_t s = 0; s < n; ++s)
-    for (index_t u = 0; u < units_; ++u) {
-      const float* a = cached_a_.data() + s * uk + u * rank_;
-      const float* c = cached_c_.data() + s * uk + u * rank_;
-      out.at(s, u) += linalg::dot(a, c, rank_) + b_.value[u];
-    }
+  assemble_lowrank_dense(cached_a_.data(), cached_c_.data(), uk, out.data(),
+                         units_, b_.value.data(), n, units_, rank_,
+                         out.data());
   return out;
 }
 
@@ -395,42 +423,33 @@ void LowRankQuadraticDense::forward_into(const ConstTensorView& input,
                  output.dim(1) == units_,
              name_ << ": bad output view " << output.shape());
 
-  float* a = ws.alloc(n * uk);
-  float* c = ws.alloc(n * uk);
-  if (packed_w_.packed()) {
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q1_, 0.0f, a, uk);
-    linalg::gemm_prepacked(false, n, uk, in_, 1.0f, input.data(), in_,
-                           packed_q2_, 0.0f, c, uk);
-    linalg::gemm_prepacked(false, n, units_, in_, 1.0f, input.data(), in_,
-                           packed_w_, 0.0f, output.data(), units_);
+  // Each scratch row holds [Q₁ᵀx | Q₂ᵀx | wᵀx]: one gemm against the
+  // frozen [Q₁; Q₂; W] pack, or forward()'s three gemms when unfrozen.
+  const index_t cols = 2 * uk + units_;
+  float* acl = ws.alloc(n * cols);
+  if (packed_.packed()) {
+    linalg::gemm_prepacked(false, n, cols, in_, 1.0f, input.data(), in_,
+                           packed_, 0.0f, acl, cols);
   } else {
     linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q1_.value.data(), in_, 0.0f, a, uk,
+                 q1_.value.data(), in_, 0.0f, acl, cols,
                  ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
                                                       in_)));
     linalg::gemm(false, true, n, uk, in_, 1.0f, input.data(), in_,
-                 q2_.value.data(), in_, 0.0f, c, uk,
+                 q2_.value.data(), in_, 0.0f, acl + uk, cols,
                  ws.alloc(linalg::gemm_scratch_floats(false, true, n, uk,
                                                       in_)));
     linalg::gemm(false, true, n, units_, in_, 1.0f, input.data(), in_,
-                 w_.value.data(), in_, 0.0f, output.data(), units_,
+                 w_.value.data(), in_, 0.0f, acl + 2 * uk, cols,
                  ws.alloc(linalg::gemm_scratch_floats(false, true, n,
                                                       units_, in_)));
   }
-  for (index_t s = 0; s < n; ++s)
-    for (index_t u = 0; u < units_; ++u) {
-      const float* a_u = a + s * uk + u * rank_;
-      const float* c_u = c + s * uk + u * rank_;
-      output.at(s, u) += linalg::dot(a_u, c_u, rank_) + b_.value[u];
-    }
+  assemble_lowrank_dense(acl, acl + uk, cols, acl + 2 * uk, cols,
+                         b_.value.data(), n, units_, rank_, output.data());
 }
 
 void LowRankQuadraticDense::freeze() {
-  const index_t uk = units_ * rank_;
-  packed_q1_.pack(/*trans=*/true, in_, uk, q1_.value.data(), in_);
-  packed_q2_.pack(/*trans=*/true, in_, uk, q2_.value.data(), in_);
-  packed_w_.pack(/*trans=*/true, in_, units_, w_.value.data(), in_);
+  pack_stacked(packed_, in_, {&q1_.value, &q2_.value, &w_.value});
   cached_input_ = Tensor{};
   cached_a_ = Tensor{};
   cached_c_ = Tensor{};
@@ -438,9 +457,7 @@ void LowRankQuadraticDense::freeze() {
 }
 
 void LowRankQuadraticDense::unfreeze() {
-  packed_q1_.clear();
-  packed_q2_.clear();
-  packed_w_.clear();
+  packed_.clear();
   Module::unfreeze();
 }
 

@@ -34,13 +34,16 @@ class ProposedQuadraticDense : public nn::Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  // v2: both GEMMs and the {y, fᵏ} interleave run on borrowed memory.
+  // v2: the projection gemm(s) and the {y, fᵏ} interleave run on
+  // borrowed memory.
   Shape output_shape(const Shape& input_shape) const override;
   bool supports_forward_into() const override { return true; }
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // Freeze caches Wᵀ and Qᵀ as PackedWeights — no per-call trans_b pack.
+  // Freeze stacks [W; Q] into one PackedWeights, so a frozen forward_into
+  // is one gemm producing [wᵀx | (Qᵏ)ᵀx] per row — no per-call trans_b
+  // pack, and bit-identical to the unfrozen two-gemm path.
   void freeze() override;
   void unfreeze() override;
 
@@ -70,8 +73,7 @@ class ProposedQuadraticDense : public nn::Module {
   nn::Parameter b_;       // [units]
   Tensor cached_input_;   // [N, in]
   Tensor cached_f_;       // [N, units*rank]
-  linalg::PackedWeights packed_w_;  // Wᵀ, cached by freeze()
-  linalg::PackedWeights packed_q_;  // Qᵀ, cached by freeze()
+  linalg::PackedWeights packed_wq_;  // [W; Q]ᵀ, cached by freeze()
 };
 
 // ---------------------------------------------------------------------------
@@ -135,7 +137,8 @@ class LowRankQuadraticDense : public nn::Module {
   void forward_into(const ConstTensorView& input, const TensorView& output,
                     Workspace& ws) override;
 
-  // Freeze caches Q₁ᵀ, Q₂ᵀ and Wᵀ as PackedWeights.
+  // Freeze stacks [Q₁; Q₂; W] into one PackedWeights: a frozen
+  // forward_into is one gemm, bit-identical to the unfrozen three.
   void freeze() override;
   void unfreeze() override;
 
@@ -154,7 +157,7 @@ class LowRankQuadraticDense : public nn::Module {
   Tensor cached_input_;
   Tensor cached_a_;   // Q₁ᵀx per unit: [N, units*rank]
   Tensor cached_c_;   // Q₂ᵀx per unit: [N, units*rank]
-  linalg::PackedWeights packed_q1_, packed_q2_, packed_w_;
+  linalg::PackedWeights packed_;  // [Q₁; Q₂; W]ᵀ, cached by freeze()
 };
 
 // ---------------------------------------------------------------------------

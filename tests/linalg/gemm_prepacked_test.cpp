@@ -2,7 +2,9 @@
 // must be bit-identical to gemm()'s per-call packing path across
 // transpose flags, ragged tail sizes (M, N, K not multiples of the
 // blocked kernel's tiles), and reuse of one PackedWeights across many
-// calls — the property Module::freeze rests on.
+// calls — the property Module::freeze rests on.  The quadratic layers
+// that stack several weight blocks into one freeze-time pack are checked
+// against their unfrozen per-block gemms under every supported backend.
 #include "linalg/packed_weights.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +12,10 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/workspace.h"
 #include "linalg/gemm.h"
+#include "linalg/gemm_backend.h"
+#include "quadratic/quad_dense.h"
 
 namespace qdnn::linalg {
 namespace {
@@ -148,6 +153,60 @@ TEST(GemmPrepacked, RejectsShapeMismatch) {
   EXPECT_THROW(gemm_prepacked(false, 2, 5, 6, 1.0f, a.data(), 6, packed,
                               0.0f, c.data(), 5),
                std::runtime_error);
+}
+
+// Runs `layer` through forward_into unfrozen (per-block gemms), then
+// frozen (one gemm against the stacked pack), on the same [n, in] input
+// and expects bit-identical outputs.
+void expect_frozen_matches_unfrozen(nn::Module& layer, index_t in, index_t n,
+                                    std::uint64_t seed) {
+  const Tensor x = random_tensor(Shape{n, in}, seed);
+  Tensor unfrozen{layer.output_shape(x.shape())};
+  Tensor frozen{unfrozen.shape()};
+  Workspace ws;
+  layer.forward_into(x, unfrozen, ws);
+  layer.freeze();
+  ws.reset();
+  layer.forward_into(x, frozen, ws);
+  layer.unfreeze();
+  EXPECT_EQ(max_abs_diff(unfrozen, frozen), 0.0f)
+      << layer.name() << " n=" << n << " in=" << in << " backend "
+      << gemm_backend_name(active_gemm_backend());
+}
+
+TEST(GemmPrepacked, StackedQuadraticPacksMatchUnfrozenPerBackend) {
+  struct Dims {
+    index_t in, units, rank;
+  };
+  // The serving projections (d_model 48, proj 24, rank 3: wq/wk/wv
+  // 48 -> 6 units, wo 24 -> 12 units), plus ragged widths straddling the
+  // 16-column panel.
+  const Dims dims[] = {{48, 6, 3}, {24, 12, 3}, {24, 5, 2}, {96, 7, 4}};
+  const GemmBackend saved = active_gemm_backend();
+  for (GemmBackend be :
+       {GemmBackend::kGeneric, GemmBackend::kAvx2, GemmBackend::kNeon}) {
+    if (!gemm_backend_supported(be)) continue;
+    set_gemm_backend(be);
+    for (const Dims& d : dims)
+      for (index_t n : {1, 3, 8, 13}) {
+        const std::uint64_t seed = 300 + static_cast<std::uint64_t>(
+                                             d.in * 17 + d.units * 5 + n);
+        for (bool emit : {true, false}) {
+          Rng rng(seed);
+          quadratic::ProposedQuadraticDense proposed(
+              d.in, d.units, d.rank, rng, 1e-3f, "proposed", emit);
+          // Nonzero Λ and bias so the assembly reads both.
+          rng.fill_uniform(proposed.lambda().value, -1.0f, 1.0f);
+          rng.fill_uniform(proposed.bias().value, -1.0f, 1.0f);
+          expect_frozen_matches_unfrozen(proposed, d.in, n, seed);
+        }
+        Rng rng(seed);
+        quadratic::LowRankQuadraticDense lowrank(d.in, d.units, d.rank, rng,
+                                                 "lowrank");
+        expect_frozen_matches_unfrozen(lowrank, d.in, n, seed);
+      }
+  }
+  set_gemm_backend(saved);
 }
 
 }  // namespace

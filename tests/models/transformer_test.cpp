@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "decode_test_util.h"
 #include "gradcheck_util.h"
 
@@ -156,6 +158,121 @@ TEST(Transformer, ParameterCountDropsWithReducedProjDim) {
   quad.proj_dim = 8;  // reduced width; divisible by 2 heads and rank+1=4
   Transformer quadratic_model(quad);
   EXPECT_LT(quadratic_model.num_parameters(), baseline.num_parameters());
+}
+
+// ---------------------------------------------------------------------------
+// Attention kernel: per-row key limits.
+// ---------------------------------------------------------------------------
+
+// Rows [row0, row0 + rows) of a 2-D tensor.
+Tensor row_block(const Tensor& t, index_t row0, index_t rows) {
+  const index_t w = t.dim(1);
+  Tensor out{Shape{rows, w}};
+  std::copy(t.data() + row0 * w, t.data() + (row0 + rows) * w, out.data());
+  return out;
+}
+
+// Counts entries of `batch` rows [row0, row0 + ref.rows) that differ from
+// `ref` (exact float compare).
+index_t mismatches(const Tensor& batch, index_t row0, const Tensor& ref) {
+  index_t bad = 0;
+  for (index_t r = 0; r < ref.dim(0); ++r)
+    for (index_t c = 0; c < ref.dim(1); ++c)
+      bad += batch.at(row0 + r, c) != ref.at(r, c);
+  return bad;
+}
+
+// A ragged batch through MultiHeadAttention::forward/backward_qkv must
+// match, bit for bit, a solo pass of each sample over just its first
+// kv_lengths[s] keys; weights past each row's limit must be exact zeros
+// and pad keys must receive exactly zero gradient.
+void expect_kv_lengths_match_truncated(const quadratic::NeuronSpec& spec,
+                                       index_t proj_dim, bool causal) {
+  const index_t d = 12, heads = 2, n = 3, t = 5;
+  const std::vector<index_t> lens{5, 2, 3};
+  Rng rng(7);
+  MultiHeadAttention mha(d, heads, proj_dim, spec, rng, "mha");
+  const Tensor q_in = random_tensor(Shape{n * t, d}, 11);
+  const Tensor kv_in = causal ? q_in : random_tensor(Shape{n * t, d}, 12);
+  const Tensor g_out = random_tensor(Shape{n * t, d}, 13);
+
+  const Tensor out = mha.forward(q_in, kv_in, n, t, t, causal, lens);
+  const Tensor attn = mha.attention_weights();
+  const auto [g_q, g_kv] = mha.backward_qkv(g_out);
+
+  for (index_t s = 0; s < n; ++s) {
+    const index_t len = lens[static_cast<std::size_t>(s)];
+    for (index_t h = 0; h < heads; ++h)
+      for (index_t i = 0; i < t; ++i) {
+        const index_t limit = causal ? std::min(i + 1, len) : len;
+        for (index_t j = limit; j < t; ++j)
+          EXPECT_EQ(attn.at(s, h, i, j), 0.0f)
+              << "s=" << s << " h=" << h << " i=" << i << " j=" << j;
+      }
+
+    const Tensor solo = mha.forward(row_block(q_in, s * t, t),
+                                    row_block(kv_in, s * t, len), 1, t, len,
+                                    causal, {});
+    const auto [solo_g_q, solo_g_kv] =
+        mha.backward_qkv(row_block(g_out, s * t, t));
+    EXPECT_EQ(mismatches(out, s * t, solo), 0) << "output, sample " << s;
+    EXPECT_EQ(mismatches(g_q, s * t, solo_g_q), 0) << "g_q, sample " << s;
+    EXPECT_EQ(mismatches(g_kv, s * t, solo_g_kv), 0) << "g_kv, sample " << s;
+    EXPECT_EQ(mismatches(g_kv, s * t + len, Tensor{Shape{t - len, d}}), 0)
+        << "g_kv past the key limit, sample " << s;
+  }
+}
+
+TEST(Attention, KvLengthsMatchTruncatedKeysNonCausal) {
+  expect_kv_lengths_match_truncated(quadratic::NeuronSpec::linear(), 8,
+                                    /*causal=*/false);
+  expect_kv_lengths_match_truncated(quadratic::NeuronSpec::proposed(2), 12,
+                                    /*causal=*/false);
+}
+
+TEST(Attention, KvLengthsMatchTruncatedKeysCausal) {
+  expect_kv_lengths_match_truncated(quadratic::NeuronSpec::linear(), 8,
+                                    /*causal=*/true);
+  expect_kv_lengths_match_truncated(quadratic::NeuronSpec::proposed(2), 12,
+                                    /*causal=*/true);
+}
+
+TEST(Attention, ForwardRejectsKvLengthPastKeys) {
+  Rng rng(5);
+  MultiHeadAttention mha(8, 2, 8, quadratic::NeuronSpec::linear(), rng,
+                         "mha");
+  const Tensor x = random_tensor(Shape{2 * 3, 8}, 1);
+  EXPECT_THROW(mha.forward(x, x, 2, 3, 3, false, {3, 4}),
+               std::runtime_error);
+}
+
+// cross_attend_step loops to exactly each row's source length, so a
+// length outside [0, tk] must be rejected, and a length-0 (parked) row
+// gets zero context — its output cannot depend on its query.
+TEST(Attention, CrossStepValidatesKvLengths) {
+  const index_t d = 8, proj = 8, tk = 4, n = 2;
+  Rng rng(3);
+  MultiHeadAttention mha(d, 2, proj, quadratic::NeuronSpec::linear(), rng,
+                         "cross");
+  // One page of tk tokens per row, K slice then V slice; page 0 unused.
+  const index_t page_floats = 2 * tk * proj;
+  Tensor pool = random_tensor(Shape{3, page_floats}, 4);
+  const std::vector<index_t> table{1, 2};
+  const PagedKvView k{pool.data(), table.data(), page_floats, 1, tk, 0};
+  const PagedKvView v{pool.data(), table.data(), page_floats, 1, tk,
+                      tk * proj};
+  const Tensor x = random_tensor(Shape{n, d}, 5);
+  Tensor out{Shape{n, d}};
+  Workspace ws;
+
+  EXPECT_THROW(mha.cross_attend_step(x, out, k, v, tk, {tk, tk + 1}, ws),
+               std::runtime_error);
+  EXPECT_THROW(mha.cross_attend_step(x, out, k, v, tk, {-1, tk}, ws),
+               std::runtime_error);
+
+  mha.cross_attend_step(x, out, k, v, tk, {0, 0}, ws);
+  EXPECT_TRUE(out.all_finite());
+  EXPECT_EQ(mismatches(out, 0, row_block(out, 1, 1)), 0);
 }
 
 TEST(Transformer, RejectsIndivisibleProjDim) {
