@@ -56,7 +56,8 @@ void BM_GemmBackend(benchmark::State& state) {
     index_t m, n, k;
   };
   // decode step [batch x P][P x P]; prefill [N*T x D][D x D]; logit
-  // projection [batch x vocab] — dims from bench/serve_bench's model.
+  // projection [batch x vocab] — batch 8, 28-token sources, d_model =
+  // proj_dim = 48 and a 256-token vocabulary.
   static constexpr ServeShape kShapes[] = {
       {"decode", 8, 48, 48},
       {"prefill", 224, 48, 48},
@@ -289,4 +290,15 @@ BENCHMARK(BM_ProposedMlpSessionUnfrozen)->Arg(1)->Arg(8)->Arg(64);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the resolved gemm backend in the JSON "context",
+// which CI's gemm-backends job asserts against the backend it pinned.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "gemm_backend",
+      linalg::gemm_backend_name(linalg::active_gemm_backend()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

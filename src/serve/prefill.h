@@ -28,8 +28,7 @@
 //     and releases the slot for the next job.
 //
 // Admission therefore costs the scheduler tick exactly one K/V copy, and
-// tick-time jitter no longer tracks source length (bench/serve_bench.cpp
-// measures sync vs async p99 tick latency under a prefill-heavy trace).
+// tick-time jitter no longer tracks source length.
 //
 // Determinism: prefill computes the same bits on any thread (the encoder
 // is deterministic and per-request), and per-request decode output is

@@ -21,9 +21,7 @@
 //   5. retires rows that emitted eos or exhausted their budget, so the
 //      freed slot is refilled at the very next tick.
 //
-// Throughput therefore tracks occupancy instead of the slowest request
-// (bench/serve_bench.cpp measures continuous vs static batching under
-// Poisson arrivals).
+// Throughput therefore tracks occupancy instead of the slowest request.
 //
 // Front-end behaviors (the multi-tenant contract, per request):
 //

@@ -11,8 +11,7 @@
 //     model replica (DecodeSession binds a Transformer exclusively, and
 //     replicas share no mutable state), pumped by a dedicated worker
 //     thread.  Shards never touch each other, so aggregate tokens/sec
-//     scales near-linearly with shards on a multi-core machine
-//     (bench/serve_bench.cpp measures 1-shard vs 4-shard throughput).
+//     can scale with shards on a multi-core machine.
 //   * routing — submit() join-shortest-queues: the request goes to the
 //     shard with the fewest unresolved requests (atomic counters, no
 //     locks on the read).  Ids are globally unique and encode the shard

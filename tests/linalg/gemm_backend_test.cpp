@@ -87,7 +87,8 @@ class GemmBackendTest : public ::testing::Test {
 
 // Shapes chosen to hit every microkernel edge: full 6x16 (avx2) / 4x16
 // (neon) tiles, every ragged row count, ragged panel tails of 1..15
-// columns, k of 0/1/odd, and the serving shapes from bench/serve_bench.
+// columns, k of 0/1/odd, and the decode and logits serving shapes of
+// micro_ops' BM_GemmBackend.
 struct Shape {
   index_t m, n, k;
 };

@@ -319,6 +319,90 @@ TEST(Server, ShedsAndCancelsResolveExactlyOnce) {
   EXPECT_FALSE(server.cancel(ids[0])) << "everything already resolved";
 }
 
+TEST(Server, AdversarialBurstAcrossShardsResolvesExactlyOnce) {
+  // Full-length sources amid short ones burst into two tightly bounded
+  // shards (mixed priorities, some deadlines), then a cancel storm hits
+  // every third id.  Every id resolves exactly once, the burst sheds,
+  // every accepted cancel lands as kCancelled, completed streams match
+  // the solo decode and cut-short streams are prefixes of it.
+  constexpr index_t kCount = 24, kMaxSteps = 10, kMaxQueue = 3;
+  auto replicas = make_replicas(2);
+  const index_t max_src = tiny_transformer_config().max_len;
+  Rng rng(211);
+  std::vector<Request> requests;
+  std::vector<std::vector<index_t>> references;
+  for (index_t i = 0; i < kCount; ++i) {
+    Request req;
+    // Every 4th source is full-length: the head-of-line blocker the
+    // bounded queues must shed around, in both shards' prefill pools.
+    req.src_ids = random_src_ids(1, i % 4 == 0 ? max_src : 4, 20,
+                                 900 + static_cast<std::uint64_t>(i));
+    req.max_new_tokens = 4 + rng.uniform_int(5);
+    req.priority = static_cast<Priority>(rng.uniform_int(3));
+    if (i % 7 == 3) req.deadline_tick = 2 + rng.uniform_int(4);
+    references.push_back(replicas[0]->greedy_decode_reference(
+        req.src_ids, {}, kBos, kEos, req.max_new_tokens)[0]);
+    requests.push_back(std::move(req));
+  }
+
+  ServerConfig config = server_config(2, kMaxSteps);
+  config.shard.max_queue = kMaxQueue;
+  config.shard.prefill_workers = 1;  // long sources compute on the pool
+  Server server(raw(replicas), config);
+  std::map<index_t, std::size_t> id_to_case;
+  std::vector<index_t> ids;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const index_t id = server.submit(std::move(requests[i]));
+    id_to_case[id] = i;
+    ids.push_back(id);
+  }
+  index_t cancel_hits = 0;
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    if (server.cancel(ids[i])) {
+      ++cancel_hits;
+      EXPECT_FALSE(server.cancel(ids[i]))
+          << "double-cancel of id " << ids[i] << " reported a hit";
+    }
+  }
+  server.wait_idle();  // a deadlock or leaked row hangs right here
+
+  auto results = server.take_results();
+  ASSERT_EQ(results.size(), ids.size());
+  std::set<index_t> seen;
+  index_t sheds = 0, cancelled = 0, errored = 0;
+  for (const RequestResult& r : results) {
+    EXPECT_TRUE(seen.insert(r.id).second)
+        << "id " << r.id << " resolved twice";
+    const auto& reference = references[id_to_case.at(r.id)];
+    switch (r.reason) {
+      case FinishReason::kShed:
+        ++sheds;
+        EXPECT_TRUE(r.tokens.empty()) << "shed id " << r.id;
+        break;
+      case FinishReason::kCancelled:
+      case FinishReason::kDeadline:
+        if (r.reason == FinishReason::kCancelled) ++cancelled;
+        EXPECT_TRUE(r.tokens.size() <= reference.size() &&
+                    std::equal(r.tokens.begin(), r.tokens.end(),
+                               reference.begin()))
+            << "id " << r.id << ": not a prefix of the solo decode";
+        break;
+      case FinishReason::kEos:
+      case FinishReason::kLength:
+        EXPECT_EQ(r.tokens, reference) << "id " << r.id;
+        break;
+      case FinishReason::kError:
+        ++errored;
+        break;
+    }
+  }
+  for (const index_t id : ids) EXPECT_EQ(seen.count(id), 1u);
+  EXPECT_GT(sheds, 0) << "a " << kCount << "-request burst into 2 shards "
+                      << "with max_queue=" << kMaxQueue << " must shed";
+  EXPECT_EQ(cancelled, cancel_hits);
+  EXPECT_EQ(errored, 0);
+}
+
 TEST(Server, CancelLandsMidDecodeOnABusyShard) {
   // Regression: the shard worker must release the shard lock between
   // ticks.  Holding it across the whole busy period made cancel() block
