@@ -10,6 +10,7 @@
 #include "linalg/gemm.h"
 #include "linalg/gemm_backend.h"
 #include "linalg/packed_weights.h"
+#include "models/transformer/transformer.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -17,6 +18,7 @@
 #include "quadratic/quad_conv.h"
 #include "quadratic/quad_dense.h"
 #include "quantize/quantized_modules.h"
+#include "runtime/decode_session.h"
 #include "runtime/inference_session.h"
 
 using namespace qdnn;
@@ -287,6 +289,68 @@ void BM_ProposedMlpSessionUnfrozen(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearMlpSessionUnfrozen)->Arg(1)->Arg(8)->Arg(64);
 BENCHMARK(BM_ProposedMlpSessionUnfrozen)->Arg(1)->Arg(8)->Arg(64);
+
+// ---------------------------------------------------------------------------
+// One continuous-batching decode step of the chat serving geometry
+// (d_model 48, 2 layers, proposed(3) at proj_dim 24, 8 rows bound) with
+// rows [0, live) decoding and the rest parked — the layout the scheduler
+// keeps by admitting into the lowest free row.  A step runs only up to
+// the highest live row, so the time should scale with live rows rather
+// than read flat at the full-width cost.
+// ---------------------------------------------------------------------------
+
+void BM_DecodeStepLiveRows(benchmark::State& state) {
+  const index_t live = state.range(0);
+  models::TransformerConfig mc;
+  mc.src_vocab = 256;
+  mc.tgt_vocab = 256;
+  mc.d_model = 48;
+  mc.n_heads = 4;
+  mc.n_layers = 2;
+  mc.d_ff = 96;
+  mc.max_len = 32;
+  mc.dropout = 0.0f;
+  mc.seed = 17;
+  mc.proj_dim = 24;
+  mc.spec = NeuronSpec::proposed(3);
+  models::Transformer model(mc);
+  runtime::DecodeSessionConfig sc;
+  sc.max_batch = 8;
+  sc.max_steps = 32;
+  sc.max_src = 8;
+  runtime::DecodeSession session(model, sc);
+
+  std::vector<Tensor> srcs;
+  Rng rng(41);
+  for (index_t r = 0; r < live; ++r) {
+    Tensor src{Shape{1, 6}};
+    for (index_t t = 0; t < 6; ++t)
+      src.data()[t] = static_cast<float>(3 + rng.uniform_int(250));
+    srcs.push_back(std::move(src));
+  }
+  std::vector<index_t> feed(static_cast<std::size_t>(sc.max_batch), 1);
+  const auto prime_live = [&] {
+    for (index_t r = 0; r < live; ++r)
+      session.prime_row(r, srcs[static_cast<std::size_t>(r)], 0);
+    feed.assign(feed.size(), 1);  // bos
+  };
+  prime_live();
+  for (auto _ : state) {
+    if (session.row_steps(0) == sc.max_steps) {
+      state.PauseTiming();
+      prime_live();
+      state.ResumeTiming();
+    }
+    const std::vector<index_t>& next = session.step(feed);
+    benchmark::DoNotOptimize(next.data());
+    for (index_t r = 0; r < live; ++r)
+      feed[static_cast<std::size_t>(r)] = next[static_cast<std::size_t>(r)];
+  }
+  state.counters["stepped_width"] =
+      static_cast<double>(session.stepped_width());
+  state.SetItemsProcessed(state.iterations() * live);
+}
+BENCHMARK(BM_DecodeStepLiveRows)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 

@@ -139,7 +139,8 @@ DecodeSession::DecodeSession(models::Transformer& model,
   row_steps_.assign(static_cast<std::size_t>(config_.max_batch), 0);
   src_lengths_.assign(static_cast<std::size_t>(config_.max_batch), 0);
   // Every row starts parked (pinned at ring position 0) until its first
-  // prime: unprimed rows ride the batch gemm without ever advancing.
+  // prime: an unprimed row is never stepped unless a higher row is live,
+  // and then rides the batch gemm without ever advancing.
   parked_.assign(static_cast<std::size_t>(config_.max_batch), 1);
   in_views_.resize(stages_.size());
   add_views_.resize(stages_.size());
@@ -152,6 +153,29 @@ DecodeSession::DecodeSession(models::Transformer& model,
   // adapters pointing into this half-constructed (about-to-unwind)
   // session: unbind before rethrowing (the destructor will not run).
   try {
+    // The adapters' paged views carry the FULL max_batch-width tables (a
+    // row's table slice never moves) and the full-width per-row counters,
+    // so they are bound once, whatever width a step runs at.
+    const index_t pf = pool_.page_floats();
+    const index_t slice = page_tokens_ * proj_dim_;
+    for (index_t l = 0; l < layers; ++l) {
+      models::DecoderLayer& layer = model_->decoder_layer(l);
+      const index_t k_off = (2 * l) * slice;
+      const index_t v_off = (2 * l + 1) * slice;
+      layer.self_step().bind(
+          models::PagedKvView{pool_.data(), self_table_.data(), pf,
+                              self_ppr_, page_tokens_, k_off},
+          models::PagedKvView{pool_.data(), self_table_.data(), pf,
+                              self_ppr_, page_tokens_, v_off},
+          config_.max_steps, &row_steps_);
+      layer.cross_step().bind(
+          models::PagedKvView{pool_.data(), cross_table_.data(), pf,
+                              cross_ppr_, page_tokens_, k_off},
+          models::PagedKvView{pool_.data(), cross_table_.data(), pf,
+                              cross_ppr_, page_tokens_, v_off},
+          max_src_, &src_lengths_);
+    }
+    bound_n_ = config_.max_batch;
     bind_views(config_.max_batch);
 
     if (config_.warmup) {
@@ -217,33 +241,9 @@ bool DecodeSession::row_parked(index_t row) const {
   return parked_[static_cast<std::size_t>(row)] != 0;
 }
 
-void DecodeSession::bind_views(index_t n) {
-  // Rebuild the per-stage views and the adapter cache bindings for this
-  // batch width.  The paged views carry the FULL max_batch-width tables
-  // (a row's table slice never moves), so rebinding only resizes the
-  // activation boundaries.  Shapes are inline and the views are POD, so
-  // this never touches the heap; it runs at construction and when
-  // prime() changes the batch width.
-  const index_t pf = pool_.page_floats();
-  const index_t slice = page_tokens_ * proj_dim_;
-  for (index_t l = 0; l < model_->num_decoder_layers(); ++l) {
-    models::DecoderLayer& layer = model_->decoder_layer(l);
-    const index_t k_off = (2 * l) * slice;
-    const index_t v_off = (2 * l + 1) * slice;
-    layer.self_step().bind(
-        models::PagedKvView{pool_.data(), self_table_.data(), pf,
-                            self_ppr_, page_tokens_, k_off},
-        models::PagedKvView{pool_.data(), self_table_.data(), pf,
-                            self_ppr_, page_tokens_, v_off},
-        config_.max_steps, &row_steps_);
-    layer.cross_step().bind(
-        models::PagedKvView{pool_.data(), cross_table_.data(), pf,
-                            cross_ppr_, page_tokens_, k_off},
-        models::PagedKvView{pool_.data(), cross_table_.data(), pf,
-                            cross_ppr_, page_tokens_, v_off},
-        max_src_, &src_lengths_);
-  }
-
+void DecodeSession::bind_views(index_t w) {
+  // Rebuild the per-stage activation views over rows [0, w).  Shapes are
+  // inline and the views are POD, so this never touches the heap.
   auto boundary_data = [&](index_t b) -> float* {
     return b < 0 ? embed_buf_.data()
                  : buffers_[static_cast<std::size_t>(b)].data();
@@ -253,18 +253,16 @@ void DecodeSession::bind_views(index_t n) {
   };
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const nn::PipelineStage& st = stages_[i];
-    in_views_[i] = ConstTensorView(Shape{n, boundary_width(st.input)},
+    in_views_[i] = ConstTensorView(Shape{w, boundary_width(st.input)},
                                    boundary_data(st.input));
     add_views_[i] =
-        st.is_add() ? ConstTensorView(Shape{n, boundary_width(st.addend)},
+        st.is_add() ? ConstTensorView(Shape{w, boundary_width(st.addend)},
                                       boundary_data(st.addend))
                     : ConstTensorView{};
     out_views_[i] = TensorView(
-        Shape{n, stage_width_[i]}, boundary_data(static_cast<index_t>(i)));
+        Shape{w, stage_width_[i]}, boundary_data(static_cast<index_t>(i)));
   }
-  logits_view_ =
-      ConstTensorView(Shape{n, vocab_}, buffers_.back().data());
-  bound_n_ = n;
+  stepped_width_ = w;
 }
 
 index_t DecodeSession::acquire_page_() {
@@ -338,7 +336,7 @@ void DecodeSession::prime(const Tensor& src_ids,
   // paths stay bit-identical (and bit-identical to the training-path
   // encoder, hence to greedy_decode_reference).
   init_staging(solo_staging_);
-  if (n != bound_n_) bind_views(n);
+  bound_n_ = n;
   for (index_t r = 0; r < n; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     const index_t len =
@@ -469,10 +467,9 @@ void DecodeSession::commit_row(index_t row, PrefillStaging& staging) {
                  staging.v.numel() == staging.k.numel(),
              "DecodeSession: staging sized for a different session");
 
-  // Continuous mode runs at the full max_batch width so every row slot
-  // is addressable; rows never primed just ride the batch masked-out.
-  // bind_views is heap-free (inline shapes), so the whole commit is too.
-  if (bound_n_ != config_.max_batch) bind_views(config_.max_batch);
+  // Continuous mode binds the full max_batch width so every row slot is
+  // addressable; step() runs only up to the highest unparked row.
+  bound_n_ = config_.max_batch;
   commit_row_impl(row, staging);
 }
 
@@ -605,7 +602,22 @@ void DecodeSession::reset_row(index_t row) {
 }
 
 void DecodeSession::run_step(const std::vector<index_t>& tokens) {
-  const index_t n = bound_n_;
+  // Step rows [0, n) only, n = 1 + the highest unparked row: parked rows
+  // above it would only burn gemm rows on ignored output, and every
+  // kernel's per-row result is independent of the batch width, so the
+  // live rows' bits do not change.  The warm-up runs at full width to
+  // discover the widest workspace watermark.  Argmax entries at or past
+  // n keep their previous value (a parked row's output is ignored).
+  next_tokens_.resize(static_cast<std::size_t>(bound_n_));
+  index_t n = bound_n_;
+  if (!warming_) {
+    while (n > 0 && parked_[static_cast<std::size_t>(n - 1)]) --n;
+    if (n == 0) {
+      stepped_width_ = 0;
+      return;
+    }
+  }
+  if (n != stepped_width_) bind_views(n);
   // Map a self-KV page for every live row entering a new page-aligned
   // block.  Solo/default pools can never trip this (pool_pages covers
   // every row fully deep); an oversubscribing scheduler must call
@@ -674,7 +686,6 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
   }
 
   // Greedy head: first-maximum argmax, matching greedy_decode_reference.
-  next_tokens_.resize(static_cast<std::size_t>(n));
   const float* logits = buffers_.back().data();
   for (index_t r = 0; r < n; ++r) {
     const float* row = logits + r * vocab_;
@@ -684,9 +695,9 @@ void DecodeSession::run_step(const std::vector<index_t>& tokens) {
     next_tokens_[static_cast<std::size_t>(r)] = best;
   }
   if (profiling) mark(stages_.size() + 1);
-  // Parked rows stay pinned at ring position 0: they rode the gemm (their
-  // output is ignored) but never advance, so an idle row's ring cannot
-  // exhaust no matter how many ticks pass.
+  // Parked rows stay pinned at ring position 0: a parked row below n
+  // rides the gemm (its output is ignored) but never advances, so an idle
+  // row's ring cannot exhaust no matter how many ticks pass.
   for (index_t r = 0; r < n; ++r)
     if (!parked_[static_cast<std::size_t>(r)])
       ++row_steps_[static_cast<std::size_t>(r)];

@@ -45,7 +45,9 @@
 //   * step()/generate(): every step embeds ONE new token per row
 //     (position = step, so causal masking is implicit in the self-attention
 //     cache length), runs all decoder stages, projects logits and takes
-//     the argmax.  Steady-state step() performs ZERO heap allocations
+//     the argmax — over rows [0, w) only, w = 1 + the highest unparked
+//     row, so a continuous batch pays for what its live rows span.
+//     Steady-state step() performs ZERO heap allocations
 //     (asserted with a counting global allocator in
 //     tests/runtime/session_test.cpp) and O(T) attention work per token —
 //     versus the O(T²) full-prefix re-decode of
@@ -260,17 +262,22 @@ class DecodeSession {
   bool ensure_row_step_capacity(index_t row);
 
   // Parks row `row`: rewinds its step counter to ring position 0 and pins
-  // it there — a parked row keeps riding the batch gemm (output ignored)
-  // with its counter never advancing, so its ring can never exhaust and
-  // no per-tick re-reset is needed.  The continuous-batching retire
-  // operation; prime/prime_row/commit_row unpark.  Zero-alloc.
+  // it there, so its ring can never exhaust and no per-tick re-reset is
+  // needed.  A parked row above every unparked row is not stepped at all;
+  // one below the highest unparked row rides the batch gemm (output
+  // ignored) with its counter never advancing.  The continuous-batching
+  // retire operation; prime/prime_row/commit_row unpark.  Zero-alloc.
   void reset_row(index_t row);
 
-  // One decoder step: embeds `tokens` ([n] ids — bos on the first step,
-  // the previous emission after) at position step(), runs every decoder
-  // stage and the output projection, and returns the per-row argmax.
-  // Steady state: zero heap allocations.  The returned reference is
-  // valid until the next step()/prime().
+  // One decoder step: embeds `tokens` ([batch()] ids — bos on the first
+  // step, the previous emission after) at each row's position, runs every
+  // decoder stage and the output projection, and returns the per-row
+  // argmax ([batch()] entries).  Only rows [0, stepped_width()) run, where
+  // stepped_width() = 1 + the highest unparked row: parked rows above it
+  // are skipped (their tokens are ignored and their argmax and logits
+  // entries keep stale values), and the live rows' bits do not depend on
+  // the width.  Steady state: zero heap allocations.  The returned
+  // reference is valid until the next step()/prime().
   const std::vector<index_t>& step(const std::vector<index_t>& tokens);
 
   // Greedy loop: seeds bos, steps until every row emitted eos or
@@ -279,8 +286,14 @@ class DecodeSession {
   // output.  Allocates only the returned vectors.
   std::vector<std::vector<index_t>> generate(index_t bos, index_t eos);
 
-  // Logits [n, tgt_vocab] of the last step; aliases an internal buffer.
-  const ConstTensorView& logits() const { return logits_view_; }
+  // Logits [batch(), tgt_vocab] of the last step; aliases an internal
+  // buffer.  Rows at or past stepped_width() were not written by it.
+  ConstTensorView logits() const {
+    return ConstTensorView(Shape{bound_n_, vocab_}, buffers_.back().data());
+  }
+  // Rows the last step() ran: 1 + the highest unparked row (0 when every
+  // row was parked and nothing ran).
+  index_t stepped_width() const { return stepped_width_; }
 
   index_t max_batch() const { return config_.max_batch; }
   index_t max_steps() const { return config_.max_steps; }
@@ -337,7 +350,7 @@ class DecodeSession {
   std::vector<obs::StageTiming> stage_profile() const;
 
  private:
-  void bind_views(index_t n);
+  void bind_views(index_t w);
   void unbind_all();
   // Runs the masked native encoder over one source ([ts] ids at `ids`,
   // `len` valid positions) inside `staging.ws` — resetting the slot's
@@ -389,7 +402,6 @@ class DecodeSession {
   std::vector<ConstTensorView> in_views_;
   std::vector<ConstTensorView> add_views_;
   std::vector<TensorView> out_views_;
-  ConstTensorView logits_view_;
 
   std::vector<index_t> next_tokens_;  // argmax per row, step() result
   std::vector<index_t> feed_tokens_;  // generate() feedback scratch
@@ -420,6 +432,7 @@ class DecodeSession {
   // so every admission path shares one code path.
   PrefillStaging solo_staging_;
   index_t bound_n_ = 0;
+  index_t stepped_width_ = 0;  // rows the stage views span (last step)
   bool primed_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "serve/prefill.h"
 
+#include <utility>
+
 #include "linalg/gemm_backend.h"
 
 namespace qdnn::serve {
@@ -40,8 +42,10 @@ std::exception_ptr run_prefill(runtime::DecodeSession& session,
 }
 
 PrefillPool::PrefillPool(runtime::DecodeSession& session, index_t workers,
-                         index_t slots, obs::TraceRing* trace)
-    : session_(&session), trace_(trace) {
+                         index_t slots, obs::TraceRing* trace,
+                         std::function<void()> on_finished)
+    : session_(&session), trace_(trace),
+      on_finished_(std::move(on_finished)) {
   QDNN_CHECK(workers >= 1,
              "PrefillPool: workers must be >= 1, got " << workers);
   QDNN_CHECK(slots >= 1, "PrefillPool: slots must be >= 1, got " << slots);
@@ -92,6 +96,7 @@ void PrefillPool::worker_loop() {
       finished_.push_back(std::move(fin));
     }
     done_cv_.notify_all();
+    if (on_finished_) on_finished_();
   }
 }
 

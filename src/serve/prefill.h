@@ -48,6 +48,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -135,9 +136,16 @@ class PrefillPool {
   // must outlive the pool.  `trace` (optional, must outlive the pool) is
   // where workers record prefill_start/prefill_end events; the scheduler
   // passes its own per-shard ring so pool events interleave with the
-  // serving thread's timeline.
+  // serving thread's timeline.  `on_finished` (optional) runs on the
+  // worker thread once per finished job — errored ones included — after
+  // the job is takeable, with no pool lock held, so a serving thread
+  // sleeping on its own condition can be woken the moment a prefill
+  // lands.  It must be fast and must not throw; it can run until the
+  // destructor has joined the workers.  Fixed at construction: it is
+  // never reassigned on a running pool.
   PrefillPool(runtime::DecodeSession& session, index_t workers,
-              index_t slots, obs::TraceRing* trace = nullptr);
+              index_t slots, obs::TraceRing* trace = nullptr,
+              std::function<void()> on_finished = {});
   ~PrefillPool();
 
   PrefillPool(const PrefillPool&) = delete;
@@ -204,6 +212,7 @@ class PrefillPool {
 
   runtime::DecodeSession* session_;
   obs::TraceRing* trace_ = nullptr;  // not owned; may be null
+  const std::function<void()> on_finished_;  // may be empty
   std::vector<runtime::PrefillStaging> staging_;
   std::vector<index_t> free_slots_;  // stack, capacity = slots
   std::deque<PrefillJob> queue_;

@@ -53,11 +53,6 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
   const index_t rows = session_.max_batch();
   slots_.resize(static_cast<std::size_t>(rows));
   feed_.assign(static_cast<std::size_t>(rows), config_.bos);
-  // Stack of free rows, highest first, so back() hands out row 0 first.
-  // Rows start parked at ring position 0 (the session parks every row at
-  // bind), so free rows need no per-tick maintenance.
-  free_rows_.reserve(static_cast<std::size_t>(rows));
-  for (index_t r = rows - 1; r >= 0; --r) free_rows_.push_back(r);
   completed_.reserve(static_cast<std::size_t>(rows));
   prob_scratch_ = Tensor{Shape{vocab_}};
   idx_scratch_.resize(static_cast<std::size_t>(vocab_));
@@ -81,7 +76,8 @@ BatchScheduler::BatchScheduler(models::Transformer& model,
                               ? config_.prefill_slots
                               : rows;
     prefill_ = std::make_unique<PrefillPool>(
-        session_, config_.prefill_workers, slots, &trace_);
+        session_, config_.prefill_workers, slots, &trace_,
+        config_.on_prefill_finished);
   } else {
     session_.init_staging(staging_);
   }
@@ -513,7 +509,7 @@ void BatchScheduler::admit() {
   // session validates that pool_pages covers one worst-case row.  A
   // commit is one K/V copy plus slot bookkeeping — no heap allocation,
   // and never a wait on a prefill still computing.
-  while (!free_rows_.empty()) {
+  while (live_rows_ < static_cast<index_t>(slots_.size())) {
     if (has_held_) {
       fin = std::move(held_fin_);
       has_held_ = false;
@@ -532,8 +528,10 @@ void BatchScheduler::admit() {
       has_held_ = true;
       break;
     }
-    const index_t row = free_rows_.back();
-    free_rows_.pop_back();
+    // The lowest free row: live rows stay packed at the bottom, so the
+    // session steps only as wide as they span (DecodeSession::step).
+    index_t row = 0;
+    while (slots_[static_cast<std::size_t>(row)].live) ++row;
     if (st.from_cache && fin.job.sampled)
       trace_.record_always(fin.job.id, obs::TraceEvent::kPrefixHit, row);
     session_.commit_row(row, st);
@@ -618,12 +616,11 @@ void BatchScheduler::retire(index_t row, FinishReason reason,
   // Drop the retired request's source tensor now (deallocation only —
   // the steady-state contract counts allocations, not frees).
   slot.request = Request();
-  // Park exactly once: the freed row rides the batch gemm pinned at ring
-  // position 0 (output ignored) until its next admission — no per-tick
-  // reset needed, and its ring can never exhaust.
+  // Park exactly once: the freed row stays pinned at ring position 0
+  // until its next admission — no per-tick reset needed, and its ring can
+  // never exhaust.  Above the highest live row it is not stepped at all.
   session_.reset_row(row);
   feed_[static_cast<std::size_t>(row)] = config_.bos;
-  free_rows_.push_back(row);
   --live_rows_;
   live_rows_gauge_->set(static_cast<double>(live_rows_));
 }
@@ -684,7 +681,6 @@ void BatchScheduler::preempt(index_t row) {
   slot.on_token = nullptr;
   session_.reset_row(row);  // releases every page the row mapped
   feed_[static_cast<std::size_t>(row)] = config_.bos;
-  free_rows_.push_back(row);
   --live_rows_;
   live_rows_gauge_->set(static_cast<double>(live_rows_));
   queue_.push_front(std::move(job));
@@ -730,7 +726,7 @@ index_t BatchScheduler::step() {
   const index_t stepped = live_rows_;
   const auto tick_start = std::chrono::steady_clock::now();
   const std::vector<index_t>& greedy = session_.step(feed_);
-  const ConstTensorView& logits = session_.logits();
+  const ConstTensorView logits = session_.logits();
   ++ticks_;
   ticks_counter_->inc();
   stepped_ticks_counter_->inc();
@@ -825,9 +821,9 @@ index_t BatchScheduler::step() {
   return stepped;
 }
 
-bool BatchScheduler::wait_for_prefill() const {
+bool BatchScheduler::awaiting_prefill() const {
   // A held finished prefill (page gate) commits the moment pages free —
-  // never block on UNRELATED prefill compute while it waits.
+  // never wait on UNRELATED prefill compute while it waits.
   if (!prefill_ || has_held_ || live_rows_ > 0 ||
       prefill_->pending() == 0 || prefill_->ready() > 0)
     return false;
@@ -839,6 +835,11 @@ bool BatchScheduler::wait_for_prefill() const {
     if (job.request.deadline_tick > 0 &&
         ticks_ >= job.request.deadline_tick)
       return false;
+  return true;
+}
+
+bool BatchScheduler::wait_for_prefill() const {
+  if (!awaiting_prefill()) return false;
   prefill_->wait_ready();
   return true;
 }

@@ -8,13 +8,15 @@
 //
 //   1. expires deadlines (queued requests past deadline_tick are shed,
 //      live rows past it retire mid-flight with FinishReason::kDeadline),
-//   2. admits queued requests into free batch rows in priority order
-//      (per-row prime: the request's source is encoded and
+//   2. admits queued requests into free batch rows in priority order,
+//      always into the LOWEST free row so live rows stay packed at the
+//      bottom (per-row prime: the request's source is encoded and
 //      cross-projected into just its row's caches while the other rows
 //      keep decoding mid-flight),
-//   3. steps the WHOLE batch once — one gemm-backed pass over all rows,
-//      every live row at its own ring position (per-row cache lengths in
-//      the attention step kernels),
+//   3. steps the batch once — one gemm-backed pass over rows [0, w),
+//      w = 1 + the highest live row (DecodeSession::step skips parked
+//      rows above it), every live row at its own ring position (per-row
+//      cache lengths in the attention step kernels),
 //   4. samples one token per live row through its request's head
 //      (greedy / temperature / top-k, per-request seeded Rng), streaming
 //      it to the request's on_token callback the moment it exists,
@@ -117,6 +119,7 @@
 
 #include <array>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -144,6 +147,13 @@ struct BatchSchedulerConfig {
   // Staging slots for the prefill pool (finished prefills awaiting a free
   // row); 0 = max_batch.  Ignored when prefill_workers is 0.
   index_t prefill_slots = 0;
+  // Runs on a prefill-pool worker thread once per finished prefill
+  // (errored ones included), after the prefill is takeable and outside
+  // the pool's lock — see PrefillPool.  A driver sleeping while
+  // awaiting_prefill() holds uses it to wake; serve::Server sets it.
+  // Fast, non-throwing, and it must not touch the scheduler.  Empty =
+  // none; ignored when prefill_workers is 0.
+  std::function<void()> on_prefill_finished;
   // Bounded admission: the most requests allowed to wait for a batch row
   // (queue + staged prefills, i.e. queued()).  A submit that finds the
   // bound reached is load-shed — it resolves immediately with
@@ -259,9 +269,15 @@ class BatchScheduler {
   // prefills only — a tick never waits on the pool.
   index_t step();
 
-  // Async tick-driver helper: when the ONLY outstanding work is a
-  // prefill still computing (no live rows, nothing admissible, no due
-  // deadline), blocks until the pool finishes one and returns true —
+  // True when the ONLY outstanding work is a prefill still computing (no
+  // live rows, nothing admissible, no due deadline): a step() now would
+  // only advance the tick clock.  Non-blocking; always false in sync
+  // mode.  A driver that sleeps while it holds must wake on
+  // config.on_prefill_finished (or use wait_for_prefill()).
+  bool awaiting_prefill() const;
+
+  // Async tick-driver helper: when awaiting_prefill() holds, blocks
+  // until the pool finishes one and returns true —
   // callers `continue` instead of stepping, so the tick clock never
   // free-runs orders of magnitude faster than real batch steps (which
   // would collapse arrival schedules and inflate tick-denominated
@@ -406,7 +422,6 @@ class BatchScheduler {
   std::deque<PrefillJob> queue_;
   std::vector<Slot> slots_;
   std::vector<index_t> feed_;       // next input token per row
-  std::vector<index_t> free_rows_;  // stack; lowest row admitted first
   std::vector<RequestResult> completed_;  // reserved for max_batch results
   Tensor prob_scratch_;                // [vocab], sampling CDF scratch
   std::vector<index_t> idx_scratch_;  // [vocab], top-k selection scratch

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -113,6 +112,15 @@ Server::Server(const std::vector<models::Transformer*>& models,
     BatchSchedulerConfig shard_config = config.shard;
     shard_config.registry = &registry_;
     shard_config.metrics_prefix = "shard" + std::to_string(i);
+    // Installed before the scheduler builds its prefill pool, so it is
+    // in place before any pool thread starts.
+    shard_config.on_prefill_finished = [s = shard.get()] {
+      {
+        std::lock_guard<std::mutex> lk(s->mu);
+        s->prefill_landed = true;
+      }
+      s->cv.notify_one();
+    };
     shard->scheduler = std::make_unique<BatchScheduler>(
         *models[static_cast<std::size_t>(i)], shard_config);
     shards_.push_back(std::move(shard));
@@ -152,19 +160,21 @@ void Server::call(Shard& shard, const Command& command) {
 void Server::shard_loop(Shard& shard) {
   BatchScheduler& scheduler = *shard.scheduler;
   std::vector<Command> commands;
-  bool backoff = false;
+  bool stalled = false;
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(shard.mu);
       const auto posted = [&] { return !shard.inbox.empty(); };
-      if (backoff) {
-        // Only prefill compute is outstanding: back off briefly so the
-        // tick clock does not free-run while the pool works — a command
-        // still wakes the worker at once.
-        shard.cv.wait_for(lk, std::chrono::microseconds(200), posted);
+      if (stalled) {
+        // Only prefill compute is outstanding: sleep until a command is
+        // posted or a pool worker lands a prefill (prefill_landed), with
+        // no timer.  Deadlines count ticks, so a stalled shard's clock
+        // stands still until there is work — as in BatchScheduler::run().
+        shard.cv.wait(lk, [&] { return posted() || shard.prefill_landed; });
       } else {
         shard.cv.wait(lk, [&] { return posted() || !scheduler.idle(); });
       }
+      shard.prefill_landed = false;
       commands.swap(shard.inbox);
     }
     for (Command& command : commands) {
@@ -173,7 +183,7 @@ void Server::shard_loop(Shard& shard) {
     }
     commands.clear();
     const index_t stepped = scheduler.idle() ? 0 : scheduler.step();
-    backoff = stepped == 0 && !scheduler.idle();
+    stalled = stepped == 0 && scheduler.awaiting_prefill();
 
     if (scheduler.results_ready() == 0) continue;
     std::vector<RequestResult> results = scheduler.take_results();

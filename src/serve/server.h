@@ -35,14 +35,19 @@
 // with the shard workers.  Only a shard's worker touches its scheduler:
 // each iteration it swaps out the shard's command inbox, applies the
 // commands in push order, steps, and moves retired results into the
-// shard's mailbox.  One short mutex guards inbox and mailbox; no lock is
-// held during a tick, so submit and take_results never wait out a busy
-// shard, while cancel, stats and shard_stats wait for the worker to
-// apply them (at most one tick).  A load-shed resolves on the worker's
-// next pass.  Every submitted id resolves into exactly one result
-// (fuzzed multi-threaded in tests/serve/server_test.cpp).  on_token
-// callbacks run on the worker with no lock held; they must be fast and
-// must not call cancel, stats or shard_stats, which wait on that worker.
+// shard's mailbox.  While the only outstanding work is prefill compute
+// (BatchScheduler::awaiting_prefill), the worker sleeps until a command
+// is posted or a prefill-pool worker signals a finished prefill — no
+// polling timer, so a stalled shard's tick clock (and with it every
+// tick-denominated deadline) stands still.  One short mutex guards inbox,
+// mailbox and that signal; no lock is held during a tick, so submit and
+// take_results never wait out a busy shard, while cancel, stats and
+// shard_stats wait for the worker to apply them (at most one tick).  A
+// load-shed resolves on the worker's next pass.  Every submitted id
+// resolves into exactly one result (fuzzed multi-threaded in
+// tests/serve/server_test.cpp).  on_token callbacks run on the worker
+// with no lock held; they must be fast and must not call cancel, stats
+// or shard_stats, which wait on that worker.
 // Destroying the Server stops the workers promptly; drain results (and
 // wait_idle()) first if you need every outstanding request resolved.
 #pragma once
@@ -142,12 +147,20 @@ class Server {
   using Command = std::function<void(BatchScheduler&)>;
 
   struct Shard {
-    std::unique_ptr<BatchScheduler> scheduler;  // worker thread only
-    std::mutex mu;  // guards inbox + mailbox; never held during a tick
-    std::condition_variable cv;  // signals a non-empty inbox
+    // guards inbox + mailbox + prefill_landed; never held during a tick
+    std::mutex mu;
+    // signals a non-empty inbox or a landed prefill
+    std::condition_variable cv;
     std::vector<Command> inbox;
     std::vector<RequestResult> mailbox;
+    // Set by the scheduler's prefill-pool workers as each prefill
+    // finishes; the worker sleeps on it while only prefill compute is
+    // outstanding.
+    bool prefill_landed = false;
     std::atomic<index_t> outstanding{0};  // JSQ load, lock-free reads
+    // Declared after mu/cv so it is destroyed first: its prefill pool
+    // joins workers that may still be signalling them.
+    std::unique_ptr<BatchScheduler> scheduler;  // worker thread only
     std::thread worker;
   };
 

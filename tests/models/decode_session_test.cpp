@@ -578,6 +578,36 @@ TEST(DecodeSession, ParkedRowsStayAtRingZeroWithoutPerTickResets) {
   }
 }
 
+TEST(DecodeSession, StepRunsOnlyUpToTheHighestUnparkedRow) {
+  // Parked rows above the highest unparked row are not stepped, yet
+  // step() still takes and returns batch() entries — also when every row
+  // is parked and nothing runs.
+  Transformer model(tiny_config());
+  model.set_training(false);
+  DecodeSession session(model, session_config(4, 8));
+  const Tensor src = random_src(1, 4, 20, 64);
+  const auto ref = model.greedy_decode_reference(src, {}, 1, 2, 5)[0];
+  session.prime_row(1, src, 0);
+  session.reset_row(1);
+  EXPECT_EQ(session.step(std::vector<index_t>(4, 1)).size(), 4u);
+  EXPECT_EQ(session.stepped_width(), 0) << "every row parked";
+  EXPECT_EQ(session.row_steps(1), 0);
+  EXPECT_EQ(session.logits().dim(0), 4);
+
+  session.prime_row(1, src, 0);
+  std::vector<index_t> feed(4, 1);
+  std::vector<index_t> got;
+  for (index_t s = 0; s < 5; ++s) {
+    feed = session.step(feed);
+    ASSERT_EQ(feed.size(), 4u);
+    EXPECT_EQ(session.stepped_width(), 2) << "rows 2 and 3 parked";
+    if (feed[1] == 2) break;
+    got.push_back(feed[1]);
+    feed[0] = feed[2] = feed[3] = 1;
+  }
+  EXPECT_EQ(got, ref) << "the narrow step is bit-identical";
+}
+
 TEST(DecodeSession, ResetRowRewindsOneRowOnly) {
   Transformer model(tiny_config());
   model.set_training(false);

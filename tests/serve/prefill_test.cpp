@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -356,6 +358,65 @@ TEST(PrefillPool, WorkerErrorsArriveWithTheJobIntact) {
 
   EXPECT_THROW(PrefillPool(session, 0, 1), std::runtime_error);
   EXPECT_THROW(PrefillPool(session, 1, 0), std::runtime_error);
+}
+
+TEST(PrefillPool, FinishedCallbackRunsOncePerJobAfterItIsTakeable) {
+  // The wake hook a sleeping serving thread relies on: one call per
+  // finished job — errored ones included — and never before that job
+  // can be taken.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  runtime::DecodeSessionConfig sc;
+  sc.max_batch = 1;
+  sc.max_steps = 4;
+  sc.max_src = 4;
+  runtime::DecodeSession session(model, sc);
+
+  constexpr index_t kJobs = 5;
+  std::mutex mu;
+  std::condition_variable cv;
+  index_t calls = 0;
+  std::vector<index_t> ready_seen;  // pool.ready() as each call saw it
+  const PrefillPool* observed = nullptr;
+  PrefillPool pool(session, /*workers=*/2, /*slots=*/kJobs, nullptr, [&] {
+    // Count first, then read: by the k-th call at least k jobs have
+    // been pushed, and nothing is taken until every call is in.
+    std::lock_guard<std::mutex> lk(mu);
+    ++calls;
+    ready_seen.push_back(observed->ready());
+    cv.notify_all();
+  });
+  observed = &pool;  // published to the workers by submit()'s lock
+
+  for (index_t i = 0; i < kJobs; ++i) {
+    PrefillJob job;
+    job.id = i;
+    // Job 2 overruns max_src: its prefill errors on the worker.
+    job.request.src_ids = random_src_ids(
+        1, i == 2 ? 6 : 3, 20, 90 + static_cast<std::uint64_t>(i));
+    pool.submit(std::move(job));
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return calls == kJobs; });
+    for (std::size_t k = 0; k < ready_seen.size(); ++k)
+      EXPECT_GE(ready_seen[k], static_cast<index_t>(k) + 1)
+          << "call " << k << " ran before its job was takeable";
+  }
+  index_t errors = 0;
+  PrefillPool::Finished fin;
+  for (index_t i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(pool.try_take(fin));
+    if (fin.error != nullptr) {
+      ++errors;
+      EXPECT_EQ(fin.job.id, 2);
+    }
+    pool.release(fin.slot);
+  }
+  EXPECT_EQ(errors, 1);
+  EXPECT_EQ(pool.pending(), 0);
+  std::lock_guard<std::mutex> lk(mu);
+  EXPECT_EQ(calls, kJobs) << "exactly one call per finished job";
 }
 
 TEST(BatchScheduler, FailedPrefillResolvesAsErrorResult) {

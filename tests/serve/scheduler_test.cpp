@@ -326,6 +326,116 @@ TEST(BatchScheduler, FreedRowsParkOnceAndStayAtRingZero) {
   EXPECT_EQ(scheduler.take_results().size(), 1u);
 }
 
+TEST(BatchScheduler, StepWidthFollowsHighestLiveRow) {
+  // The session steps rows [0, w) only, w = 1 + the highest live row:
+  // one live request in an 8-wide batch costs a 1-row step, and the
+  // narrower steps leave every row's tokens bit-identical to its solo
+  // decode.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  constexpr index_t kBudget = 8;
+  BatchScheduler scheduler(model, scheduler_config(8, 10));
+  const runtime::DecodeSession& session = scheduler.session();
+
+  std::vector<Tensor> srcs;
+  std::vector<std::vector<index_t>> refs;
+  for (std::uint64_t seed : {191u, 192u, 193u}) {
+    srcs.push_back(random_src_ids(1, 4, 20, seed));
+    refs.push_back(model.greedy_decode_reference(srcs.back(), {}, kBos,
+                                                 kEos, kBudget)[0]);
+    // Untrained tiny model: no eos inside the budget, so every row stays
+    // live for the whole window checked below.
+    ASSERT_EQ(refs.back().size(), static_cast<std::size_t>(kBudget));
+  }
+  auto submit = [&](std::size_t i) {
+    Request req;
+    req.src_ids = srcs[i];
+    req.max_new_tokens = kBudget;
+    return scheduler.submit(std::move(req));
+  };
+
+  const index_t id0 = submit(0);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(scheduler.step(), 1);
+    EXPECT_EQ(session.stepped_width(), 1) << "one live row, 8 bound";
+  }
+  EXPECT_EQ(session.batch(), 8) << "the caller-facing width stays full";
+
+  const index_t id1 = submit(1);
+  const index_t id2 = submit(2);
+  ASSERT_EQ(scheduler.step(), 3);
+  EXPECT_EQ(session.stepped_width(), 3);
+  for (index_t r = 0; r < 3; ++r) ASSERT_FALSE(session.row_parked(r));
+  // Free the middle row: rows 0 and 2 live, so the width stays 3.
+  ASSERT_TRUE(scheduler.cancel(id1));
+  ASSERT_TRUE(session.row_parked(1));
+  ASSERT_EQ(scheduler.step(), 2);
+  EXPECT_EQ(session.stepped_width(), 3) << "rows 0 and 2 live";
+
+  // Row 0 retires first (admitted first, same budget), so the last steps
+  // run over row 2 alone at width 3 — still exact.
+  scheduler.run();
+  std::map<index_t, RequestResult> results;
+  for (RequestResult& r : scheduler.take_results())
+    results[r.id] = std::move(r);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results.at(id0).tokens, refs[0]);
+  EXPECT_EQ(results.at(id1).reason, FinishReason::kCancelled);
+  EXPECT_EQ(results.at(id2).tokens, refs[2]);
+  EXPECT_EQ(session.stepped_width(), 3);
+}
+
+TEST(BatchScheduler, AdmitsIntoLowestFreeRow) {
+  // Admission takes the LOWEST free row, not the last-retired one, so
+  // live rows stay packed at the bottom and the stepped width stays
+  // tight after a burst drains.
+  Transformer model(tiny_transformer_config());
+  model.set_training(false);
+  constexpr index_t kBudget = 6;
+  BatchScheduler scheduler(model, scheduler_config(4, 8));
+  const runtime::DecodeSession& session = scheduler.session();
+  auto make = [&](std::uint64_t seed) {
+    Request req;
+    req.src_ids = random_src_ids(1, 4, 20, seed);
+    req.max_new_tokens = kBudget;
+    return req;
+  };
+  auto reference = [&](const Request& req) {
+    return model.greedy_decode_reference(req.src_ids, {}, kBos, kEos,
+                                         kBudget)[0];
+  };
+
+  std::vector<index_t> ids;
+  for (std::uint64_t seed = 201; seed < 205; ++seed) {
+    Request req = make(seed);
+    // Untrained tiny model: no eos inside the budget, so rows 0 and 2
+    // stay live across the ticks checked below.
+    ASSERT_EQ(reference(req).size(), static_cast<std::size_t>(kBudget));
+    ids.push_back(scheduler.submit(std::move(req)));
+  }
+  ASSERT_EQ(scheduler.step(), 4);  // one per row, in submission order
+  EXPECT_EQ(session.stepped_width(), 4);
+
+  // Free row 1, then row 3: a last-freed-first stack would hand row 3
+  // to the next admission and keep the width at 4.
+  ASSERT_TRUE(scheduler.cancel(ids[1]));
+  ASSERT_TRUE(scheduler.cancel(ids[3]));
+  Request late = make(205);
+  const std::vector<index_t> late_ref = reference(late);
+  const index_t late_id = scheduler.submit(std::move(late));
+  ASSERT_EQ(scheduler.step(), 3);
+  EXPECT_FALSE(session.row_parked(1)) << "admitted into the lowest row";
+  EXPECT_TRUE(session.row_parked(3));
+  EXPECT_EQ(session.stepped_width(), 3);
+
+  scheduler.run();
+  std::map<index_t, RequestResult> results;
+  for (RequestResult& r : scheduler.take_results())
+    results[r.id] = std::move(r);
+  ASSERT_TRUE(results.count(late_id));
+  EXPECT_EQ(results.at(late_id).tokens, late_ref);
+}
+
 TEST(BatchScheduler, ResultsStreamOutWhileOthersKeepDecoding) {
   Transformer model(tiny_transformer_config());
   model.set_training(false);

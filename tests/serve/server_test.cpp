@@ -105,6 +105,40 @@ TEST(Server, SingleShardMatchesSoloReferences) {
         << "id " << r.id;
 }
 
+TEST(Server, AsyncShardSleepsUntilAPrefillLands) {
+  // With only prefill compute outstanding, the shard worker sleeps until
+  // a command arrives or a pool worker signals a finished prefill — no
+  // polling timer.  Every request still resolves bit-identically, and the
+  // tick clock moves only when there is work: a bounded number of idle
+  // ticks per request, however long the prefills take.
+  auto replicas = make_replicas(1);
+  const auto cases = make_cases(*replicas[0], 6, 10, 17);
+  ServerConfig config = server_config(2, 10);
+  config.shard.prefill_workers = 2;
+  Server server(raw(replicas), config);
+
+  std::map<index_t, std::size_t> id_to_case;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    Request req;
+    req.src_ids = cases[i].src;
+    req.max_new_tokens = cases[i].budget;
+    id_to_case[server.submit(std::move(req))] = i;
+    // Alternate lone prefills with pairs in flight together.
+    if (i % 3 != 1) server.wait_idle();
+  }
+  server.wait_idle();
+  auto results = server.take_results();
+  ASSERT_EQ(results.size(), cases.size());
+  for (const RequestResult& r : results)
+    EXPECT_EQ(r.tokens, cases[id_to_case.at(r.id)].reference)
+        << "id " << r.id;
+
+  const SchedulerStats st = server.shard_stats(0);
+  const auto n = static_cast<index_t>(cases.size());
+  EXPECT_LE(st.ticks - st.stepped_ticks, 4 * n)
+      << "idle ticks free-ran while prefills computed";
+}
+
 TEST(Server, MultiShardStreamsAreBitIdenticalToSolo) {
   // 4 shards over 4 identically-seeded replicas: whatever shard JSQ
   // picks, every request's tokens match its solo reference — and the
